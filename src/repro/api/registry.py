@@ -347,7 +347,8 @@ def _build_partitioned(spec: SketchSpec) -> PartitionedGSS:
 
 
 #: Cluster-level parameters of ``sharded-gss``; everything else in the spec's
-#: ``params`` is passed through to the inner per-shard GSS.
+#: ``params`` is passed through to the inner per-shard GSS.  ``transport`` is
+#: a compatibility spelling only (see ``ShardedSummary``).
 _CLUSTER_PARAMS = ("workers", "routing_seed", "batch_size", "transport")
 
 

@@ -6,8 +6,7 @@ dataset size, ``--paper-scale`` switches to the full configuration (all five
 datasets, full query sets), ``--quick`` runs the tiny smoke configuration,
 ``--backend`` selects the sketch matrix backend, ``--sketch NAME`` (repeatable)
 adds equal-memory comparison rows for any registered sketch, ``--workers N``
-adds a multi-process ``sharded-gss`` cluster row to tab1 (``--transport``
-picks its data plane: shared-memory rings or pipes), and ``--json PATH``
+adds a multi-process ``sharded-gss`` cluster row to tab1, and ``--json PATH``
 writes the result rows as a machine-readable document (the perf-trajectory
 format consumed by ``scripts/record_bench.py``).
 
@@ -153,16 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=["auto", "shm", "pipe"],
-        default=None,
-        help=(
-            "data-plane transport of the sharded-gss cluster rows: 'shm' "
-            "(shared-memory rings), 'pipe' (pickled batches) or 'auto' "
-            "(default: shm when NumPy and shared memory are available)"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         choices=["python", "numpy", "native", "auto"],
         default="python",
@@ -226,8 +215,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if args.workers < 1:
             raise SystemExit("--workers must be at least 1")
         config.workers = args.workers
-    if getattr(args, "transport", None) is not None:
-        config.transport = args.transport
     if getattr(args, "backend", None):
         config.backend = args.backend
     if getattr(args, "sketch", None):
@@ -265,7 +252,6 @@ def results_to_document(results: List, config: ExperimentConfig) -> Dict:
         "datasets": list(config.datasets),
         "batch_size": config.extras.get("batch_size", 1024),
         "workers": config.workers,
-        "transport": config.transport,
         "experiments": [
             {
                 "experiment": result.experiment,
@@ -334,7 +320,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2,
                         help="cluster worker processes (default 2)")
     parser.add_argument("--transport", choices=["auto", "shm", "pipe"],
-                        default="auto", help="cluster data-plane transport")
+                        default="auto",
+                        help="compatibility spelling; batches always travel "
+                             "down the worker pipes ('shm' warns)")
     parser.add_argument("--backend", choices=["python", "numpy", "native", "auto"],
                         default="python", help="matrix backend of the shards")
     sizing = parser.add_mutually_exclusive_group()

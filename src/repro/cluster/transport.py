@@ -1,33 +1,14 @@
-"""Data-plane transports for the sharded cluster.
+"""The hashed-batch codec: the cluster's data plane and serve's ingest frame.
 
-The cluster separates two planes:
+The cluster has one data plane.  Every routed
+:class:`~repro.streaming.batch.HashedBatch` reaches its worker as an
+``("hbatch", blob)`` message on the worker's control pipe, where ``blob`` is
+:func:`encode_hashed_batch`'s output; the worker rebuilds the batch with
+:func:`decode_hashed_batch` against its own hash spec.  The network front
+end's ``FRAME_HBATCH`` (:mod:`repro.serve.protocol`) carries the same blob,
+so this module is the one place the hashed-batch wire format is decided.
 
-* **control plane** — always a duplex :class:`multiprocessing.Pipe` per
-  worker, carrying queries, flush barriers, snapshots, stop requests and the
-  acknowledgement of every data-plane batch (replies are FIFO, which is what
-  makes any query a per-shard barrier);
-* **data plane** — how a routed :class:`~repro.streaming.batch.HashedBatch`
-  reaches its worker.  Two interchangeable implementations:
-
-  - ``pipe`` — the batch object travels pickled through the control pipe
-    (an ``hbatch`` message).  Zero extra dependencies; the automatic
-    fallback when NumPy or :mod:`multiprocessing.shared_memory` is missing.
-  - ``shm`` — the batch's numeric columns travel as raw bytes through a
-    per-worker **shared-memory ring buffer**; only a tiny doorbell message
-    (``shmbatch``, carrying the segment's offset and length) goes through
-    the pipe.  The worker maps the segment with ``np.frombuffer`` — node
-    hashes and weights cross the process boundary without pickling and
-    without copies on the read side.
-
-Ring discipline (single producer, single consumer): the client allocates
-contiguous byte ranges head-to-tail with :class:`RingAllocator` and frees
-them strictly FIFO when the corresponding batch acknowledgement is consumed
-— valid because replies come back in request order.  A batch that cannot fit
-(bigger than the ring, or the ring is full and nothing is pending) falls
-back to an ``hbatch`` pipe message, so transport choice never changes
-semantics, only speed.
-
-Segment layout (native endianness; both ends are the same machine)::
+Blob layout (native endianness; both ends are the same architecture)::
 
     header:  count (u64), keys_nbytes (u64)
     columns: count x u64 source hashes | count x u64 destination hashes
@@ -35,165 +16,27 @@ Segment layout (native endianness; both ends are the same machine)::
     keys:    pickled (sources, destinations) key lists — the worker needs
              the original keys for its reverse node index
 
-Original keys still travel (pickled) because workers answer
-successor/precursor queries over original IDs; the numeric hot path is what
-the ring removes from pickle's hands.
+Encoding needs NumPy.  Without it the cluster pipes the pickled
+``HashedBatch`` object instead (see ``ShardedSummary``), and the server
+takes JSON ingest frames.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-import warnings
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.hashing.vectorized import NUMPY_AVAILABLE, load_numpy
+from repro.hashing.vectorized import load_numpy
 from repro.streaming.batch import HashedBatch, HashSpec
 
-__all__ = [
-    "DEFAULT_RING_BYTES",
-    "RingAllocator",
-    "TRANSPORTS",
-    "attach_shared_memory",
-    "decode_hashed_batch",
-    "encode_hashed_batch",
-    "resolve_transport",
-    "shm_available",
-]
-
-#: Per-worker ring capacity.  4 MiB holds several thousand in-flight edges
-#: per batch at 24 bytes of numeric columns each plus the key blob; batches
-#: beyond it degrade gracefully to the pipe.
-DEFAULT_RING_BYTES = 1 << 22
-
-#: The recognised transport names (``auto`` resolves to one of the others).
-TRANSPORTS = ("auto", "shm", "pipe")
+__all__ = ["decode_hashed_batch", "encode_hashed_batch"]
 
 _HEADER = struct.Struct("=QQ")
 
 
-def shm_available() -> bool:
-    """Whether the shared-memory data plane can run in this environment.
-
-    Requires NumPy (the ring carries raw arrays) and
-    :mod:`multiprocessing.shared_memory` (Python >= 3.8, but absent on some
-    restricted platforms).
-    """
-    if not NUMPY_AVAILABLE:
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - platform-dependent
-        return False
-    return True
-
-
-def resolve_transport(requested: str) -> str:
-    """Resolve a requested transport name to the one actually used.
-
-    ``auto`` picks ``shm`` when available; an explicit ``shm`` request
-    degrades to ``pipe`` with a warning when the environment cannot support
-    it, mirroring how ``GSSConfig.backend='numpy'`` degrades — a cluster
-    configured on one machine keeps working on another.
-    """
-    if requested not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {requested!r}; expected one of {TRANSPORTS}"
-        )
-    if requested == "auto":
-        return "shm" if shm_available() else "pipe"
-    if requested == "shm" and not shm_available():
-        warnings.warn(
-            "transport='shm' requires NumPy and multiprocessing.shared_memory; "
-            "falling back to the pipe transport",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "pipe"
-    return requested
-
-
-def attach_shared_memory(name: str):
-    """Attach an existing shared-memory block without adopting ownership.
-
-    On Python < 3.13 attaching by name registers the segment with the
-    ``resource_tracker`` a second time; depending on the start method that
-    either makes the attaching process's tracker unlink a segment the parent
-    still owns (spawn), or — with fork, where the tracker process is shared —
-    leaves an entry that ``unregister`` calls from either side would race
-    over.  Suppressing the registration during the attach sidesteps both;
-    3.13+ has ``track=False`` for exactly this purpose.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        from multiprocessing import resource_tracker
-
-        original_register = resource_tracker.register
-
-        def _register_except_shm(resource_name, rtype):
-            if rtype != "shared_memory":
-                original_register(resource_name, rtype)
-
-        resource_tracker.register = _register_except_shm
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-
-
-class RingAllocator:
-    """Contiguous byte-range allocator with strictly FIFO frees.
-
-    ``head``/``tail`` are monotonic byte counters; the live region is
-    ``[tail, head)`` modulo ``size``.  A range must be contiguous in the
-    underlying buffer, so an allocation that would straddle the end of the
-    ring pads to the wrap point first (the padding is freed together with
-    the range, as one reservation).  The caller frees reservations in
-    allocation order — exactly the order batch acknowledgements arrive.
-    """
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError("ring size must be positive")
-        self.size = size
-        self._head = 0
-        self._tail = 0
-
-    def alloc(self, nbytes: int) -> Optional[Tuple[int, int]]:
-        """Reserve ``nbytes`` contiguous bytes.
-
-        Returns ``(offset, reservation)`` — pass ``reservation`` (which may
-        exceed ``nbytes`` by wrap padding) to :meth:`free` — or ``None``
-        when the ring cannot currently hold the range.
-        """
-        if nbytes > self.size:
-            return None
-        position = self._head % self.size
-        padding = 0
-        if position + nbytes > self.size:
-            padding = self.size - position
-            position = 0
-        reservation = padding + nbytes
-        if (self._head - self._tail) + reservation > self.size:
-            return None
-        self._head += reservation
-        return position, reservation
-
-    def free(self, reservation: int) -> None:
-        """Release the oldest reservation (FIFO)."""
-        self._tail += reservation
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently reserved (including wrap padding)."""
-        return self._head - self._tail
-
-
 def encode_hashed_batch(batch: HashedBatch) -> bytes:
-    """Serialize a hashed batch into one contiguous ring segment."""
+    """Serialize a hashed batch into one contiguous blob."""
     np = load_numpy()
     count = len(batch)
     source_hashes = np.ascontiguousarray(
@@ -220,15 +63,12 @@ def encode_hashed_batch(batch: HashedBatch) -> bytes:
 def decode_hashed_batch(
     buffer, offset: int, nbytes: int, spec: Optional[HashSpec]
 ) -> HashedBatch:
-    """Rebuild a hashed batch from a ring segment, reading columns in place.
+    """Rebuild a hashed batch from ``buffer[offset:offset + nbytes]``.
 
-    The numeric columns are ``np.frombuffer`` views into the shared-memory
-    buffer — zero-copy.  They stay valid until the client reuses the
-    segment, which cannot happen before the caller acknowledges the batch
-    (the client frees ring space only on acknowledgement), so consuming the
-    batch fully before replying is the worker's contract.  Keys are
-    unpickled (owned copies) because they outlive the segment in the
-    worker's reverse node index.
+    The numeric columns are zero-copy ``np.frombuffer`` views into
+    ``buffer``, so they live as long as the batch does; keys are unpickled
+    (owned copies) because they outlive the batch in the worker's reverse
+    node index.
     """
     np = load_numpy()
     count, keys_nbytes = _HEADER.unpack_from(buffer, offset)

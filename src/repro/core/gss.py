@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-import warnings
-
 from repro.core.backends import (
     ROOM_DEST_FP,
     ROOM_DEST_INDEX,
@@ -292,9 +290,7 @@ class GSS(SummaryShims):
         ``None`` (rather than the paper's ``-1.0``) reports an absent edge, so
         the answer is unambiguous for streams with deletions: a stored edge
         whose weights sum to ``-1.0`` is reported as ``-1.0`` while a missing
-        edge is reported as ``None``.  The paper's sentinel convention
-        survives as the deprecated
-        :meth:`~repro.queries.primitives.SummaryShims.edge_query_sentinel`.
+        edge is reported as ``None``.
         """
         source_hash = self._hasher(source)
         destination_hash = self._hasher(destination)
@@ -308,18 +304,6 @@ class GSS(SummaryShims):
         if weight is not None:
             return weight
         return self._buffer.get(source_hash, destination_hash)
-
-    def edge_query_by_hash_opt(
-        self, source_hash: int, destination_hash: int
-    ) -> Optional[float]:
-        """Deprecated alias: :meth:`edge_query_by_hash` now returns ``Optional``."""
-        warnings.warn(
-            "edge_query_by_hash_opt is deprecated; edge_query_by_hash itself "
-            "now returns None when the edge is absent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.edge_query_by_hash(source_hash, destination_hash)
 
     def successor_hashes(self, node: Hashable) -> Set[int]:
         """Sketch hashes of the 1-hop successors of ``node``."""

@@ -12,9 +12,7 @@ Three sub-rules, all anchored on :mod:`repro.api`:
 * **no ``-1.0`` sentinel reintroduction** — PR 3 replaced the paper's
   ``-1.0``-means-absent convention with ``Optional[float]`` because the
   sentinel collides with a real edge deleted down to ``-1.0``.  Any
-  ``-1.0`` literal in library code is flagged; the deprecated
-  compatibility shim in ``queries/primitives.py`` carries the one
-  justified ``allow``.
+  ``-1.0`` literal in library code is flagged.
 * **factory-only construction** — ``experiments/`` and ``cli.py`` must
   build sketches through the registry (``SketchSpec``/``build``) so the
   equal-memory sizing arithmetic stays in one place; directly

@@ -7,8 +7,8 @@ concurrent ingest feeds and query clients — separate processes, separate
 machines — share one live summary:
 
 * :mod:`repro.serve.protocol` — length-prefixed frames (JSON control frames
-  plus a binary ingest frame that reuses the cluster transport's
-  :class:`~repro.streaming.batch.HashedBatch` encoding, extended with the
+  plus a binary ingest frame that reuses the cluster's
+  :class:`~repro.streaming.batch.HashedBatch` codec, extended with the
   routing-hash column, so node and routing hashes are computed **once on the
   client** and flow edge-to-worker untouched);
 * :mod:`repro.serve.server` — :class:`SummaryServer`: one asyncio acceptor,
@@ -30,7 +30,7 @@ machines — share one live summary:
 Start a server with ``python -m repro serve --workers 2 --port 8750`` and
 point :class:`ServeClient` (or ``scripts/load_gen.py``) at it.  The protocol
 trusts its network: binary ingest frames carry pickled node keys (exactly
-like the cluster's own shared-memory data plane), so bind the server to
+like the blobs on the cluster's own worker pipes), so bind the server to
 loopback or a private network only.
 """
 

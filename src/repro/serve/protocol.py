@@ -15,15 +15,15 @@ Two frame kinds exist:
   and for the same reason: a query sent after a run of ingest frames is
   guaranteed to observe them.
 * ``FRAME_HBATCH`` — a binary ingest frame: the routing-hash column followed
-  by the cluster transport's :func:`~repro.cluster.transport.encode_hashed_batch`
-  blob (node-hash columns + weights + pickled keys).  The payload reuses the
-  PR-6 encoding verbatim, extended with the one column the shm ring drops
-  (route hashes travel pre-split there), so a batch hashed once on the
-  client is routed and ingested by the workers with **zero further hash
-  work** — the hash-once invariant extended edge-to-worker across the
-  network.  Like the shm ring, the blob is native-endian and carries pickled
-  keys: the protocol assumes a same-architecture, *trusted* network (bind to
-  loopback or a private interface).
+  by the :func:`~repro.cluster.transport.encode_hashed_batch` blob (node-hash
+  columns + weights + pickled keys) — the same blob the cluster sends down
+  its worker pipes, which carry batches already split by route and so drop
+  the routing column.  A batch hashed once on the client is routed and
+  ingested by the workers with **zero further hash work** — the hash-once
+  invariant extended edge-to-worker across the network.  The blob is
+  native-endian and carries pickled keys: the protocol assumes a
+  same-architecture, *trusted* network (bind to loopback or a private
+  interface).
 
 Query answers are JSON values with one extension: sets — the
 successor/precursor result type — are tagged ``{"__set__": [...]}`` so they
@@ -130,8 +130,8 @@ unpack_header = _HEADER.unpack
 def encode_ingest_frame(batch: HashedBatch) -> bytes:
     """Encode a routed :class:`HashedBatch` as one binary ingest frame.
 
-    Layout: ``=Q`` route count, the u64 route-hash column, then the cluster
-    transport's hashed-batch blob.  Requires NumPy on the encoding side (the
+    Layout: ``=Q`` route count, the u64 route-hash column, then the
+    hashed-batch blob.  Requires NumPy on the encoding side (the
     columns are arrays); callers fall back to a JSON ingest frame otherwise.
     A batch without route hashes encodes a zero-length route column — the
     server then routes it itself (one routing-hash pass, node hashes still

@@ -10,8 +10,7 @@ declares:
 * unsupported queries raise :class:`UnsupportedQueryError` — and the
   corresponding capability flag is ``False``;
 * batched ingestion matches scalar ingestion;
-* serializable sketches round-trip exactly through ``to_dict``/``from_dict``;
-* the deprecated sentinel shims warn.
+* serializable sketches round-trip exactly through ``to_dict``/``from_dict``.
 """
 
 from __future__ import annotations
@@ -130,17 +129,6 @@ class TestConformance:
         # An edge over never-seen nodes is None or a float — never a sentinel.
         absent = summary.edge_query("ghost-node", "other-ghost")
         assert absent is None or isinstance(absent, float)
-
-    def test_sentinel_shims_warn(self, name, summaries):
-        summary = summaries[name]
-        if not summary.capabilities().edge_queries:
-            return
-        with pytest.warns(DeprecationWarning):
-            value = summary.edge_query_sentinel("ghost-node", "other-ghost")
-        assert isinstance(value, float)
-        with pytest.warns(DeprecationWarning):
-            opt = summary.edge_query_opt("hub", "n1")
-        assert opt == summary.edge_query("hub", "n1")
 
     def test_successor_queries(self, name, summaries, truth):
         summary = summaries[name]

@@ -8,6 +8,9 @@ stream — crossing process boundaries changes throughput, never answers.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -18,7 +21,6 @@ from repro.api import (
     sketch_info,
 )
 from repro.cluster import ClusterError, ShardedSummary
-from repro.cluster.transport import shm_available
 from repro.core.config import GSSConfig
 from repro.core.partitioned import PartitionedGSS
 from repro.hashing import count_key_hashes
@@ -42,12 +44,22 @@ def cluster():
     summary.close()
 
 
-@pytest.fixture(params=["pipe", "shm"])
-def transport(request):
-    """Every concrete data-plane transport available in this environment."""
-    if request.param == "shm" and not shm_available():
-        pytest.skip("shared-memory transport needs NumPy and shared_memory")
-    return request.param
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def child_pids():
+    """PIDs whose parent is this process, zombies included."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # Fields after the parenthesised command: state, ppid, ...
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the process exited while we looked
+        if int(fields[1]) == os.getpid():
+            children.add(int(stat.parent.name))
+    return children
 
 
 class TestConstruction:
@@ -62,6 +74,16 @@ class TestConstruction:
     def test_unsized_inner_spec_fails_the_build_handshake(self):
         with pytest.raises(ClusterError, match="SpecSizingError"):
             ShardedSummary(SketchSpec("gss"), workers=1)
+        if not Path("/proc/self/fd").is_dir():
+            return  # the leak checks below read Linux's /proc
+        # A failed handshake closes its pipe and reaps its worker: repeated
+        # failures leave no descriptor and no zombie behind.
+        fds_before, children_before = open_fds(), child_pids()
+        for _ in range(5):
+            with pytest.raises(ClusterError, match="SpecSizingError"):
+                ShardedSummary(SketchSpec("gss"), workers=1)
+        assert open_fds() == fds_before
+        assert child_pids() == children_before
 
     def test_registry_build_and_capabilities(self):
         with build("sharded-gss", memory_bytes=32 * 1024, params={"workers": 2}) as summary:
@@ -207,10 +229,6 @@ class TestPartitionedEquivalence:
             assert summary.shard_of(node) == reference.shard_of(node)
 
 
-def transports_available():
-    return ["pipe", "shm"] if shm_available() else ["pipe"]
-
-
 def nasty_items():
     """Insertions, repeats, deletions and enough distinct edges to overflow
     a deliberately undersized shard matrix into the leftover buffer."""
@@ -223,20 +241,17 @@ def nasty_items():
 
 
 class TestTransports:
-    """The data-plane transport changes throughput, never answers or stats."""
+    """The one data plane (blobs down the worker pipes) changes throughput,
+    never answers or stats."""
 
-    def test_transport_property_reports_effective_plane(self, transport):
-        with ShardedSummary(inner_spec(), workers=1, transport=transport) as summary:
-            assert summary.transport == transport
+    def test_transport_property_reports_effective_plane(self):
+        for spelling in ("auto", "pipe"):
+            with ShardedSummary(
+                inner_spec(), workers=1, transport=spelling
+            ) as summary:
+                assert summary.transport == "pipe"
 
-    def test_auto_resolves_to_an_available_transport(self):
-        with ShardedSummary(inner_spec(), workers=1) as summary:
-            assert summary.transport == ("shm" if shm_available() else "pipe")
-
-    def test_explicit_shm_degrades_to_pipe_with_a_warning(self, monkeypatch):
-        from repro.cluster import transport as transport_module
-
-        monkeypatch.setattr(transport_module, "NUMPY_AVAILABLE", False)
+    def test_explicit_shm_degrades_to_pipe_with_a_warning(self):
         with pytest.warns(RuntimeWarning, match="falling back"):
             summary = ShardedSummary(inner_spec(), workers=1, transport="shm")
         with summary:
@@ -251,7 +266,7 @@ class TestTransports:
     def test_every_query_identical_across_transports_and_reference(self):
         # Deletions and buffer-overflow keys ride along: shard matrices of
         # width 8 cannot hold the ~400 distinct edges, so the leftover
-        # buffer path crosses the transports too.
+        # buffer path crosses the pipe too.
         items = nasty_items()
         config = GSSConfig(matrix_width=8, sequence_length=4, candidate_buckets=4)
         reference = PartitionedGSS(config, partitions=2, routing_seed=97)
@@ -259,59 +274,40 @@ class TestTransports:
         assert reference.buffer_edge_count > 0  # the overflow is real
         keys = sorted({(source, destination) for source, destination, _ in items})
         nodes = sorted({key for pair in keys for key in pair})
-        for transport in transports_available():
-            with ShardedSummary(
-                inner_spec(matrix_width=8), workers=2, transport=transport
-            ) as summary:
-                for start in range(0, len(items), 64):
-                    summary.update_many(items[start : start + 64])
-                for key in keys:
-                    assert summary.edge_query(*key) == reference.edge_query(*key), (
-                        transport,
-                        key,
-                    )
-                for node in nodes:
-                    assert summary.successor_query(node) == (
-                        reference.successor_query(node)
-                    )
-                    assert summary.precursor_query(node) == (
-                        reference.precursor_query(node)
-                    )
-                    assert summary.node_out_weight(node) == pytest.approx(
-                        reference.node_out_weight(node)
-                    )
-                    assert summary.node_in_weight(node) == pytest.approx(
-                        reference.node_in_weight(node)
-                    )
+        with ShardedSummary(inner_spec(matrix_width=8), workers=2) as summary:
+            for start in range(0, len(items), 64):
+                summary.update_many(items[start : start + 64])
+            for key in keys:
+                assert summary.edge_query(*key) == reference.edge_query(*key), key
+            for node in nodes:
+                assert summary.successor_query(node) == reference.successor_query(node)
+                assert summary.precursor_query(node) == reference.precursor_query(node)
+                assert summary.node_out_weight(node) == pytest.approx(
+                    reference.node_out_weight(node)
+                )
+                assert summary.node_in_weight(node) == pytest.approx(
+                    reference.node_in_weight(node)
+                )
 
     def test_ingest_stats_identical_across_transports(self):
         # max_pending_batches=1 plus a flush per chunk pins the queue-depth
         # high-water mark (otherwise timing-dependent: the handles drain
-        # replies opportunistically) so all three observable stats must be
-        # bit-identical across data planes.
+        # replies opportunistically), so all three observable stats must
+        # equal the in-process reference's.
         items = [(f"s{i % 17}", f"d{i % 5}", 1.0) for i in range(300)]
-        observed = {}
-        for transport in transports_available():
-            with ShardedSummary(
-                inner_spec(),
-                workers=2,
-                transport=transport,
-                max_pending_batches=1,
-            ) as summary:
-                for start in range(0, len(items), 50):
-                    summary.update_many(items[start : start + 50])
-                    summary.flush()
-                stats = summary.shard_ingest_stats()
-                observed[transport] = (
-                    stats.items_routed,
-                    stats.queue_depth_high_water,
-                    stats.routing_imbalance,
-                )
-        first = next(iter(observed.values()))
-        assert all(value == first for value in observed.values()), observed
-        assert first[1] == 1  # every chunk waited out: depth never exceeded 1
+        reference = PartitionedGSS(shard_config(), partitions=2, routing_seed=97)
+        reference.update_many(items)
+        expected = reference.shard_ingest_stats()
+        with ShardedSummary(inner_spec(), workers=2, max_pending_batches=1) as summary:
+            for start in range(0, len(items), 50):
+                summary.update_many(items[start : start + 50])
+                summary.flush()
+            stats = summary.shard_ingest_stats()
+        assert stats.items_routed == expected.items_routed
+        assert stats.routing_imbalance == expected.routing_imbalance
+        assert stats.queue_depth_high_water == 1  # every chunk waited out
 
-    def test_client_hashes_each_routed_batch_exactly_once(self, transport):
+    def test_client_hashes_each_routed_batch_exactly_once(self):
         # The end-to-end hash-once law, observed at the client: routing a
         # batch costs one node hash per distinct key plus one routing hash
         # per distinct source — never one hash per item per layer.  (The
@@ -319,7 +315,7 @@ class TestTransports:
         items = [(f"s{i % 11}", f"d{i % 13}", 1.0) for i in range(500)]
         nodes = {key for source, destination, _ in items for key in (source, destination)}
         sources = {source for source, _, _ in items}
-        with ShardedSummary(inner_spec(), workers=2, transport=transport) as summary:
+        with ShardedSummary(inner_spec(), workers=2) as summary:
             with count_key_hashes() as counter:
                 summary.update_many(items)
             assert counter.count == len(nodes) + len(sources)
@@ -329,28 +325,31 @@ class TestTransports:
             assert counter.count == 0  # memoized across batches
             assert summary.edge_query("s1", "d1") is not None
 
-    def test_interleaved_scalar_and_batch_preserve_order_on_all_transports(
-        self, transport
-    ):
-        with ShardedSummary(inner_spec(), workers=2, transport=transport) as summary:
+    def test_interleaved_scalar_and_batch_preserve_order_on_all_transports(self):
+        # A scalar update travels as a list-column batch (<16 items), the
+        # 40-item batch as array columns; both must apply in stream order.
+        big = [("a", "b", -3.0)] + [(f"s{i}", f"d{i}", 1.0) for i in range(39)]
+        with ShardedSummary(inner_spec(), workers=2) as summary:
             summary.update("a", "b", 5.0)
             summary.update_many([("a", "b", -3.0)])
             assert summary.edge_query("a", "b") == 2.0
+            summary.update("a", "b", 1.0)
+            summary.update_many(big)
+            assert summary.edge_query("a", "b") == 0.0
 
     def test_session_feed_equivalent_across_transports(self, small_stream):
         # StreamSession builds the hashed batches in this configuration (the
         # cluster publishes its hash spec), so this exercises the session →
-        # routing → transport → backend pipeline end to end, timestamps and
-        # all (small_stream items carry timestamps; unwindowed summaries
-        # drop them uniformly).
+        # routing → pipe → backend pipeline end to end, timestamps and all
+        # (small_stream items carry timestamps; unwindowed summaries drop
+        # them uniformly).
         reference = PartitionedGSS(shard_config(), partitions=2, routing_seed=97)
         StreamSession(reference, batch_size=64).feed(small_stream)
-        for transport in transports_available():
-            with ShardedSummary(inner_spec(), workers=2, transport=transport) as summary:
-                report = StreamSession(summary, batch_size=64).feed(small_stream)
-                assert report.items == len(small_stream)
-                for key in list(small_stream.aggregate_weights())[:100]:
-                    assert summary.edge_query(*key) == reference.edge_query(*key)
+        with ShardedSummary(inner_spec(), workers=2) as summary:
+            report = StreamSession(summary, batch_size=64).feed(small_stream)
+            assert report.items == len(small_stream)
+            for key in list(small_stream.aggregate_weights())[:100]:
+                assert summary.edge_query(*key) == reference.edge_query(*key)
 
 
 class TestIngestStats:

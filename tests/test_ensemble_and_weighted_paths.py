@@ -8,7 +8,6 @@ from repro.core.config import GSSConfig
 from repro.core.ensemble import GSSEnsemble
 from repro.core.gss import GSS
 from repro.exact.adjacency_list import AdjacencyListGraph
-from repro.queries.primitives import EDGE_NOT_FOUND
 from repro.queries.weighted_paths import (
     dijkstra_distance,
     dijkstra_path,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exact.adjacency_list import AdjacencyListGraph
 from repro.exact.adjacency_matrix import AdjacencyMatrixGraph
-from repro.queries.primitives import EDGE_NOT_FOUND, consume_stream
+from repro.queries.primitives import consume_stream
 
 
 @pytest.fixture(params=[AdjacencyListGraph, AdjacencyMatrixGraph])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import GSSConfig
 from repro.core.gss import GSS
-from repro.queries.primitives import EDGE_NOT_FOUND, consume_stream
+from repro.queries.primitives import consume_stream
 
 
 def make_gss(width=32, bits=16, **overrides) -> GSS:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.basic import GSSBasic
-from repro.queries.primitives import EDGE_NOT_FOUND, consume_stream
+from repro.queries.primitives import consume_stream
 
 
 class TestGSSBasicConstruction:

@@ -213,19 +213,6 @@ class TestSentinelFix:
         sketch.update("a", "b", -2.0)  # deletions sum the edge to exactly -1.0
         assert sketch.edge_query("a", "b") == -1.0      # real edge, real weight
         assert sketch.edge_query("a", "zz") is None     # absent edge, unambiguous
-        # The paper's sentinel convention survives as a deprecated shim where
-        # the two cases collapse onto the same -1.0.
-        with pytest.warns(DeprecationWarning):
-            assert sketch.edge_query_sentinel("a", "b") == -1.0
-        with pytest.warns(DeprecationWarning):
-            assert sketch.edge_query_sentinel("a", "zz") == -1.0
-        # ...as does the transitional edge_query_opt alias.
-        with pytest.warns(DeprecationWarning):
-            assert sketch.edge_query_opt("a", "b") == -1.0
-        with pytest.warns(DeprecationWarning):
-            assert sketch.edge_query_by_hash_opt(
-                sketch.node_hash("a"), sketch.node_hash("zz")
-            ) is None
 
     def test_none_semantics_on_wrappers(self):
         config = GSSConfig(matrix_width=8, sequence_length=4, candidate_buckets=4)

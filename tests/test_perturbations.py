@@ -16,7 +16,6 @@ from repro.datasets.perturbations import (
     relabel_nodes,
     shuffle_stream,
 )
-from repro.queries.primitives import EDGE_NOT_FOUND
 
 
 @pytest.fixture()
@@ -57,7 +56,7 @@ class TestInjectDeletions:
         assert zeroed
         for key in zeroed[:20]:
             estimate = sketch.edge_query(*key)
-            assert estimate in (0.0, EDGE_NOT_FOUND) or estimate >= 0.0
+            assert estimate is not None and estimate >= 0.0
 
     def test_fraction_zero_adds_nothing(self, base_stream):
         assert len(inject_deletions(base_stream, 0.0)) == len(base_stream)

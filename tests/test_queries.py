@@ -8,7 +8,6 @@ from repro.core.gss import GSS
 from repro.exact.adjacency_list import AdjacencyListGraph
 from repro.queries.node_query import node_in_weight, node_out_weight
 from repro.queries.primitives import (
-    EDGE_NOT_FOUND,
     NO_NEIGHBORS,
     as_paper_result,
     consume_stream,
@@ -37,9 +36,6 @@ def gss_store(paper_stream):
 
 
 class TestPrimitivesHelpers:
-    def test_edge_not_found_sentinel(self):
-        assert EDGE_NOT_FOUND == -1.0
-
     def test_as_paper_result(self):
         assert as_paper_result(set()) == set(NO_NEIGHBORS)
         assert as_paper_result({"x"}) == {"x"}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.tcm import TCM, tcm_successor_union
-from repro.queries.primitives import EDGE_NOT_FOUND, consume_stream
+from repro.queries.primitives import consume_stream
 
 
 class TestTCMConstruction:
