@@ -49,7 +49,7 @@ def main() -> None:
         # --- 2. a collector: hash-once ingest with backpressure -------------
         with ServeClient(handle.host, handle.port, batch_size=512) as client:
             print(
-                f"negotiated: binary_ingest={client.binary_ingest} "
+                f"negotiated: protocol={client.server_info['protocol']} "
                 f"credits={client.credits} workers={client.workers}"
             )
             client.ingest(edges)

@@ -10,12 +10,12 @@ boundaries:
   source node (the same source-cut routing, same hash, as ``PartitionedGSS``
   — a cluster and a single-process partitioned sketch with equal shard
   configurations answer every query identically);
-* each worker owns any registry-buildable summary (GSS by default, with its
-  own matrix backend); when the worker's summary exposes a hashed ingest path
-  the client hashes every batch exactly once (node + routing hashes, see
+* each worker owns one GSS shard (any registry summary with a hashed ingest
+  path, with its own matrix backend); the client hashes every batch exactly
+  once (node + routing hashes, see
   :class:`~repro.streaming.batch.HashedBatch`) and ships the precomputed
   columns down the worker's pipe as one encoded blob (see
-  :mod:`repro.cluster.transport`);
+  :mod:`repro.cluster.transport`), with or without NumPy;
 * ingestion is pipelined: batches are queued to workers without waiting, a
   bounded number of batches may be in flight per worker (back-pressure), and
   every query acts as a per-shard barrier because the pipes are FIFO;
@@ -41,7 +41,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 from repro.cluster.transport import encode_hashed_batch
 from repro.cluster.worker import worker_main
 from repro.hashing.hash_functions import hash_key
-from repro.hashing.vectorized import NUMPY_AVAILABLE
 from repro.obs import trace as obs_trace
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.queries.primitives import Capabilities, ShardIngestStats, SummaryShims
@@ -207,18 +206,9 @@ class _WorkerHandle:
             if waited is not None:
                 self.obs_queue_wait.observe(perf_counter() - waited)
 
-    def send_batch(self, items: List[Tuple[Hashable, Hashable, float]]) -> None:
-        """Queue one plain triple batch (summaries without hashed ingest)."""
-        self._post(("batch", items), len(items))
-
     def send_hashed(self, batch: HashedBatch) -> None:
-        """Queue one routed :class:`HashedBatch` as an ``hbatch`` message.
-
-        The batch travels as its :func:`encode_hashed_batch` blob; without
-        NumPy, which the codec needs, the batch object itself is pickled.
-        """
-        payload = encode_hashed_batch(batch) if NUMPY_AVAILABLE else batch
-        self._post(("hbatch", payload), len(batch))
+        """Queue one routed :class:`HashedBatch` as its encoded blob."""
+        self._post(("hbatch", encode_hashed_batch(batch)), len(batch))
 
     def send_request(self, message: Tuple) -> None:
         """Send a request whose reply will be collected later (fan-out)."""
@@ -284,9 +274,12 @@ class ShardedSummary(SummaryShims):
     ----------
     inner_spec:
         :class:`~repro.api.registry.SketchSpec` every worker builds its shard
-        from.  The spec must carry sizing (a budget, expected edges, or an
-        explicit size parameter); the registry's ``sharded-gss`` builder does
-        the budget-splitting arithmetic.
+        from — a ``gss`` spec in every deployment; any summary with a hashed
+        ingest path (``update_many_hashed`` + ``hash_spec``) works, and one
+        without it fails the build handshake with :class:`ClusterError`.
+        The spec must carry sizing (a budget, expected edges, or an explicit
+        size parameter); the registry's ``sharded-gss`` builder does the
+        budget-splitting arithmetic.
     workers:
         Number of shard processes.
     routing_seed:
@@ -391,16 +384,11 @@ class ShardedSummary(SummaryShims):
         if self._obs is not None:
             self._attach_obs_instruments()
         # The workers report their summary's hash spec in the build
-        # handshake; when present, the client hashes every batch exactly
-        # once (node + routing hashes, vectorized when NumPy is available)
-        # and ships the columns — the hash-once ingest pipeline.  Summaries
-        # without a hashed ingest path fall back to plain triple batches.
-        self._shard_spec: Optional[HashSpec] = self._handles[0].info.get("hash_spec")
-        self._client_spec: Optional[HashSpec] = (
-            self._shard_spec.with_routing(routing_seed)
-            if self._shard_spec is not None
-            else None
-        )
+        # handshake; the client hashes every batch exactly once under it
+        # (node + routing hashes, vectorized when NumPy is available) and
+        # ships the columns — the hash-once ingest pipeline.
+        self._shard_spec: HashSpec = self._handles[0].info["hash_spec"]
+        self._client_spec = self._shard_spec.with_routing(routing_seed)
         self._node_memo: Dict[Hashable, int] = {}
         self._route_memo: Dict[Hashable, int] = {}
         # Client-side coalescing buffers for scalar updates.
@@ -419,13 +407,8 @@ class ShardedSummary(SummaryShims):
         """The data plane batches travel on: always ``"pipe"``."""
         return "pipe"
 
-    def hash_spec(self) -> Optional[HashSpec]:
-        """Shard node-hash family plus this cluster's routing seed.
-
-        ``None`` when the workers' summary type has no hashed ingest path —
-        callers (``StreamSession``) then feed plain batches instead of
-        prehashed ones.
-        """
+    def hash_spec(self) -> HashSpec:
+        """Shard node-hash family plus this cluster's routing seed."""
         return self._client_spec
 
     # -- updates -------------------------------------------------------------
@@ -448,16 +431,14 @@ class ShardedSummary(SummaryShims):
         Returns the number of items routed.  The call does *not* wait for the
         workers to apply the batches — :meth:`flush` (or any query) is the
         barrier — which is what lets routing and shard ingestion overlap
-        across processes.  When the workers reported a hash spec, the items
-        become one :class:`~repro.streaming.batch.HashedBatch` (node and
-        routing hashes computed once, vectorized when NumPy is available)
-        whose shard sub-batches carry their hash columns all the way into
-        the workers' matrix backends.
+        across processes.  The items become one
+        :class:`~repro.streaming.batch.HashedBatch` (node and routing hashes
+        computed once, vectorized when NumPy is available) whose shard
+        sub-batches carry their hash columns all the way into the workers'
+        matrix backends.
         """
         with self._lock:
             self._ensure_open()
-            if self._client_spec is None:
-                return self._update_many_plain(items)
             return self.update_many_hashed(
                 HashedBatch.from_items(
                     items,
@@ -477,8 +458,6 @@ class ShardedSummary(SummaryShims):
         """
         with self._lock:
             self._ensure_open()
-            if self._client_spec is None:
-                return self._update_many_plain(batch.items())
             if (
                 not batch.hashed
                 or batch.spec is None
@@ -506,43 +485,15 @@ class ShardedSummary(SummaryShims):
             self._update_count += count
             return count
 
-    def _update_many_plain(self, items: Iterable[Tuple[Hashable, Hashable, float]]) -> int:
-        """Scalar-routing fallback for workers without a hashed ingest path."""
-        groups: Dict[int, List[Tuple[Hashable, Hashable, float]]] = {}
-        count = 0
-        for source, destination, weight in items:
-            count += 1
-            # repro: allow(hash-once): scalar-routing fallback for workers
-            # without a hashed ingest path; the hashed path routes whole
-            # batches through HashedBatch.split_by_route.
-            groups.setdefault(self.shard_of(source), []).append(
-                (source, destination, weight)
-            )
-        for shard, triples in groups.items():
-            outbox = self._outbox[shard]
-            if outbox:
-                outbox.extend(triples)
-                self._handles[shard].send_batch(outbox)
-                self._outbox[shard] = []
-            else:
-                self._handles[shard].send_batch(triples)
-        self._update_count += count
-        return count
-
     def _dispatch(self, shard: int, triples: List[Tuple[Hashable, Hashable, float]]) -> None:
         """Ship already-routed triples to one shard through the data plane.
 
         Built under the workers' own spec (no routing seed): the triples are
         already grouped by shard, so only node hashes are needed.
         """
-        if self._shard_spec is not None:
-            self._handles[shard].send_hashed(
-                HashedBatch.from_items(
-                    triples, self._shard_spec, node_memo=self._node_memo
-                )
-            )
-        else:
-            self._handles[shard].send_batch(triples)
+        self._handles[shard].send_hashed(
+            HashedBatch.from_items(triples, self._shard_spec, node_memo=self._node_memo)
+        )
 
     def ingest(self, edges) -> "ShardedSummary":
         """Feed an iterable of :class:`~repro.streaming.edge.StreamEdge`."""

@@ -1,16 +1,14 @@
 """The shard worker process of :mod:`repro.cluster`.
 
-Each worker owns one registry-built summary structure (any sketch the
-:mod:`repro.api` factory can build — the default cluster uses GSS shards) and
+Each worker owns one registry-built summary with a hashed ingest path
+(``update_many_hashed`` + ``hash_spec``; the cluster builds GSS shards) and
 serves a tiny message protocol over a :class:`multiprocessing.Pipe`:
 
 ============== ============================== ==================================
 request        payload                        reply payload
 ============== ============================== ==================================
-``batch``      list of update triples         number of items applied
-``hbatch``     an encoded ``HashedBatch``     number of items applied
-               blob (the pickled object
-               itself without NumPy)
+``hbatch``     an :func:`encode_hashed_batch` number of items applied
+               blob
 ``call``       (method name, args tuple)      the method's return value
 ``snapshot``   —                              the summary's ``to_dict`` document
 ``obs_enable`` —                              ``True`` (telemetry now recording)
@@ -23,12 +21,12 @@ request        payload                        reply payload
 At startup the worker either builds a fresh summary from ``spec`` or — on the
 checkpoint-restore path — restores one directly from a snapshot document,
 and answers the handshake with ``("ready", info)`` where ``info`` reports
-the summary's :meth:`hash_spec` (or ``None`` when the summary has no hashed
-ingest path) — that is how the client discovers whether it may ship
-precomputed hash columns.  Every request gets exactly one reply, ``("ok", payload)`` or
-``("err", traceback text)``, in request order — the pipe is FIFO, which is
-what lets the parent pipeline batch requests without waiting and still know
-that a ``call`` sent afterwards observes every prior batch.
+the summary's :meth:`hash_spec` — the hash family the client must hash every
+batch under.  A summary without a hashed ingest path fails the handshake
+with an ``err`` reply.  Every request gets exactly one reply, ``("ok",
+payload)`` or ``("err", traceback text)``, in request order — the pipe is
+FIFO, which is what lets the parent pipeline batch requests without waiting
+and still know that a ``call`` sent afterwards observes every prior batch.
 
 The module is import-light on purpose: :mod:`repro.api` is imported inside
 :func:`worker_main` (i.e. in the child process) so that ``repro.cluster`` can
@@ -39,13 +37,6 @@ from __future__ import annotations
 
 import traceback
 from typing import Any, Dict, Optional
-
-
-def _ingest(summary, hashed_ingest, batch) -> int:
-    """Feed one HashedBatch through the summary's best available path."""
-    if hashed_ingest is not None:
-        return hashed_ingest(batch)
-    return summary.update_many(batch.items())
 
 
 def _enable_worker_obs(worker_id: int):
@@ -100,13 +91,14 @@ def worker_main(
             summary = from_dict(snapshot, backend=backend)
         else:
             summary = build(spec)
-        hash_spec = None
         hashed_ingest = getattr(summary, "update_many_hashed", None)
         spec_of = getattr(summary, "hash_spec", None)
-        if callable(hashed_ingest) and callable(spec_of):
-            hash_spec = spec_of()
-        else:
-            hashed_ingest = None
+        if not (callable(hashed_ingest) and callable(spec_of)):
+            raise TypeError(
+                f"{type(summary).__name__} has no hashed ingest path "
+                "(update_many_hashed + hash_spec) and cannot be a shard"
+            )
+        hash_spec = spec_of()
         conn.send(("ok", ("ready", {"hash_spec": hash_spec})))
     except Exception:
         _send_error(conn, worker_id, traceback.format_exc())
@@ -124,18 +116,12 @@ def worker_main(
             if operation == "stop":
                 conn.send(("ok", "stopped"))
                 break
-            elif operation == "batch":
-                with obs_trace.span("worker.ingest", shard=worker_id):
-                    applied = summary.update_many(request[1])
-                if obs_items is not None:
-                    obs_items.inc(applied)
-                conn.send(("ok", applied))
             elif operation == "hbatch":
-                batch = request[1]
+                blob = request[1]
                 with obs_trace.span("worker.ingest", shard=worker_id):
-                    if isinstance(batch, bytes):
-                        batch = decode_hashed_batch(batch, 0, len(batch), hash_spec)
-                    applied = _ingest(summary, hashed_ingest, batch)
+                    applied = hashed_ingest(
+                        decode_hashed_batch(blob, 0, len(blob), hash_spec)
+                    )
                 if obs_items is not None:
                     obs_items.inc(applied)
                 conn.send(("ok", applied))

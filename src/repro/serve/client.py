@@ -11,10 +11,8 @@ cluster's :class:`~repro.streaming.batch.HashSpec` (node hash family plus
 routing seed).  :meth:`ingest` builds each chunk into a
 :class:`~repro.streaming.batch.HashedBatch` against that spec — with
 cross-batch memos, so a key seen twice is hashed once — and ships the
-columns in a binary frame.  Server and workers never hash those keys again.
-When either side lacks NumPy the same chunks travel as JSON item lists and
-the server hashes them (the documented degrade, mirroring the cluster's
-pickled-batch form on the same platform).
+columns in a binary frame, with or without NumPy.  Server and workers never
+hash those keys again.
 
 Backpressure: up to ``credits`` (server-granted) ingest frames may be in
 flight.  On a ``busy`` reply the client stops sending, drains every
@@ -106,20 +104,17 @@ class ServeClient:
         self.busy_retries = 0
 
         hello = self._round_trip({"op": "hello"})
-        if hello.get("op") != "hello":
-            raise ServeClientError(f"unexpected hello reply: {hello!r}")
+        version = protocol.PROTOCOL_VERSION
+        if hello.get("op") != "hello" or hello.get("protocol") != version:
+            raise ServeClientError(
+                f"unexpected hello reply (this client speaks protocol "
+                f"{version}): {hello!r}"
+            )
         self.server_info = hello
         self.credits = max(1, int(hello.get("credits", 1)))
         self.retry_after = float(hello.get("retry_after", 0.05))
         self.workers: Optional[int] = hello.get("workers")
-        self.hash_spec: Optional[HashSpec] = protocol.spec_from_wire(
-            hello.get("hash_spec")
-        )
-        self.binary_ingest = bool(
-            hello.get("binary_ingest")
-            and protocol.binary_ingest_supported()
-            and self.hash_spec is not None
-        )
+        self.hash_spec: HashSpec = protocol.spec_from_wire(hello["hash_spec"])
 
     # -- low-level frame IO --------------------------------------------------
 
@@ -156,19 +151,14 @@ class ServeClient:
     # -- ingest pipeline -----------------------------------------------------
 
     def _encode_batch(self, items: List[Tuple[Hashable, Hashable, float]]) -> Tuple[bytes, int]:
-        """Build one ingest frame: hashed+binary when negotiated, JSON else."""
-        if self.binary_ingest:
-            batch = HashedBatch.from_items(
-                items,
-                self.hash_spec,
-                node_memo=self._node_memo,
-                route_memo=self._route_memo,
-            )
-            return protocol.encode_ingest_frame(batch), len(batch)
-        return (
-            protocol.pack_json({"op": "ingest", "items": [list(item) for item in items]}),
-            len(items),
+        """Hash one chunk under the server's spec and frame it for ingest."""
+        batch = HashedBatch.from_items(
+            items,
+            self.hash_spec,
+            node_memo=self._node_memo,
+            route_memo=self._route_memo,
         )
+        return protocol.encode_ingest_frame(batch), len(batch)
 
     def _consume_ack(self) -> None:
         """Read one ingest acknowledgement; run the busy-recovery dance."""

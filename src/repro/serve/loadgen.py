@@ -388,7 +388,6 @@ def run_load_test(
         },
         "rss": {"before_bytes": rss_before, "after_bytes": rss_after},
         "server": {
-            "binary_ingest": bool(server_info.get("binary_ingest")),
             "transport": server_info.get("transport"),
             "workers": workers,
             "busy_replies": server_metrics.get("busy_replies"),

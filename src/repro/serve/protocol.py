@@ -8,17 +8,18 @@ Every message is one length-prefixed frame::
 Two frame kinds exist:
 
 * ``FRAME_JSON`` — a UTF-8 JSON object.  Every control message (hello,
-  queries, flush, metrics, acks, busy, errors) travels this way, and so does
-  the ingest fallback when either side lacks NumPy.  Requests carry an
-  ``"op"`` field; every request receives exactly one reply frame, in request
-  order — the same strict-FIFO discipline as the cluster's worker pipes,
-  and for the same reason: a query sent after a run of ingest frames is
-  guaranteed to observe them.
-* ``FRAME_HBATCH`` — a binary ingest frame: the routing-hash column followed
-  by the :func:`~repro.cluster.transport.encode_hashed_batch` blob (node-hash
+  queries, flush, metrics, acks, busy, errors) travels this way; ingest
+  never does.  Requests carry an ``"op"`` field; every request receives
+  exactly one reply frame, in request order — the same strict-FIFO
+  discipline as the cluster's worker pipes, and for the same reason: a
+  query sent after a run of ingest frames is guaranteed to observe them.
+* ``FRAME_HBATCH`` — the only ingest frame, on every platform: the
+  routing-hash column followed by the
+  :func:`~repro.cluster.transport.encode_hashed_batch` blob (node-hash
   columns + weights + pickled keys) — the same blob the cluster sends down
   its worker pipes, which carry batches already split by route and so drop
-  the routing column.  A batch hashed once on the client is routed and
+  the routing column.  The codec is pure standard library; NumPy only
+  changes the decoded column type.  A batch hashed once on the client is routed and
   ingested by the workers with **zero further hash work** — the hash-once
   invariant extended edge-to-worker across the network.  The blob is
   native-endian and carries pickled keys: the protocol assumes a
@@ -38,7 +39,13 @@ import json
 import struct
 from typing import Any, Optional, Tuple
 
-from repro.hashing.vectorized import NUMPY_AVAILABLE, load_numpy
+from repro.cluster.transport import (
+    BatchDecodeError,
+    decode_hashed_batch,
+    encode_hashed_batch,
+    pack_column,
+    unpack_column,
+)
 from repro.streaming.batch import HashedBatch, HashSpec
 
 __all__ = [
@@ -59,7 +66,7 @@ __all__ = [
     "spec_to_wire",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 FRAME_JSON = 1
 FRAME_HBATCH = 2
@@ -131,22 +138,22 @@ def encode_ingest_frame(batch: HashedBatch) -> bytes:
     """Encode a routed :class:`HashedBatch` as one binary ingest frame.
 
     Layout: ``=Q`` route count, the u64 route-hash column, then the
-    hashed-batch blob.  Requires NumPy on the encoding side (the
-    columns are arrays); callers fall back to a JSON ingest frame otherwise.
-    A batch without route hashes encodes a zero-length route column — the
-    server then routes it itself (one routing-hash pass, node hashes still
-    reused).
+    hashed-batch blob.  A batch without route hashes encodes a zero-length
+    route column — the server then routes it itself (one routing-hash pass,
+    node hashes still reused).
     """
-    from repro.cluster.transport import encode_hashed_batch
-
-    np = load_numpy()
     blob = encode_hashed_batch(batch)
     if batch.route_hashes is None:
         return pack_frame(FRAME_HBATCH, _ROUTE_HEADER.pack(0) + blob)
-    routes = np.ascontiguousarray(np.asarray(batch.route_hashes, dtype=np.uint64))
     return pack_frame(
         FRAME_HBATCH,
-        b"".join((_ROUTE_HEADER.pack(len(routes)), routes.tobytes(), blob)),
+        b"".join(
+            (
+                _ROUTE_HEADER.pack(len(batch.route_hashes)),
+                pack_column(batch.route_hashes, "Q"),
+                blob,
+            )
+        ),
     )
 
 
@@ -156,17 +163,26 @@ def decode_ingest_payload(payload: bytes, spec: Optional[HashSpec]) -> HashedBat
     ``spec`` is the *server's* hash spec (node family + routing seed): the
     client built the batch against the spec advertised in the hello frame,
     so stamping it here lets ``ShardedSummary.update_many_hashed`` accept
-    the columns without re-hashing.  Requires NumPy (servers without it
-    never advertise binary ingest).
+    the columns without re-hashing.  A truncated payload, or a route count
+    the payload cannot hold, raises
+    :class:`~repro.cluster.transport.BatchDecodeError`; a well-formed route
+    column whose length disagrees with the batch raises
+    :class:`ProtocolError`.
     """
-    from repro.cluster.transport import decode_hashed_batch
-
-    np = load_numpy()
+    if len(payload) < _ROUTE_HEADER.size:
+        raise BatchDecodeError(
+            f"ingest payload of {len(payload)} bytes is shorter than its header"
+        )
     (route_count,) = _ROUTE_HEADER.unpack_from(payload, 0)
     cursor = _ROUTE_HEADER.size
+    if route_count > (len(payload) - cursor) // 8:
+        raise BatchDecodeError(
+            f"route column of {route_count} entries overruns the "
+            f"{len(payload)}-byte payload"
+        )
     routes = None
     if route_count:
-        routes = np.frombuffer(payload, dtype=np.uint64, count=route_count, offset=cursor)
+        routes = unpack_column(payload, cursor, route_count, "Q")
         cursor += 8 * route_count
     batch = decode_hashed_batch(payload, cursor, len(payload) - cursor, spec)
     if routes is not None:
@@ -177,11 +193,6 @@ def decode_ingest_payload(payload: bytes, spec: Optional[HashSpec]) -> HashedBat
             )
         batch.route_hashes = routes
     return batch
-
-
-def binary_ingest_supported() -> bool:
-    """Whether this side can encode/decode ``FRAME_HBATCH`` payloads."""
-    return NUMPY_AVAILABLE
 
 
 # -- hash specs and query values over JSON -----------------------------------

@@ -130,15 +130,23 @@ class SummaryServer:
     Parameters
     ----------
     summary:
-        Any :class:`~repro.api.GraphSummary`.  A summary speaking the hashed
-        ingest protocol (``update_many_hashed`` + ``hash_spec``) gets its
-        hash spec advertised to clients, which then ship pre-hashed columns;
-        anything else is fed through plain ``update_many``.
+        A :class:`~repro.api.GraphSummary` speaking the hashed ingest
+        protocol (``update_many_hashed`` + ``hash_spec``) — ``sharded-gss``
+        or ``gss``.  Its hash spec is advertised to clients, which ship
+        pre-hashed columns; any other summary raises ``TypeError``.
     config:
         A :class:`ServeConfig` (defaults are loopback + ephemeral port).
     """
 
     def __init__(self, summary, config: Optional[ServeConfig] = None) -> None:
+        spec_of = getattr(summary, "hash_spec", None)
+        if not (
+            callable(spec_of) and callable(getattr(summary, "update_many_hashed", None))
+        ):
+            raise TypeError(
+                f"cannot serve {type(summary).__name__}: the server needs a "
+                "summary with hashed ingest (update_many_hashed + hash_spec)"
+            )
         self.summary = summary
         self.config = config or ServeConfig()
         if self.config.credits < 1:
@@ -152,14 +160,7 @@ class SummaryServer:
             enable_obs = getattr(summary, "enable_obs", None)
             if callable(enable_obs):
                 enable_obs()
-        spec_of = getattr(summary, "hash_spec", None)
-        hashed_ingest = getattr(summary, "update_many_hashed", None)
-        self._hash_spec = (
-            spec_of() if callable(spec_of) and callable(hashed_ingest) else None
-        )
-        self._binary_ingest = (
-            protocol.binary_ingest_supported() and self._hash_spec is not None
-        )
+        self._hash_spec = spec_of()
         # One thread: the cluster pipes are single-consumer and the global
         # total order over summary operations is the consistency argument.
         self._executor = ThreadPoolExecutor(
@@ -339,8 +340,7 @@ class SummaryServer:
         # generator diffs against its client-side percentiles.
         started = time.perf_counter()
         if kind == protocol.FRAME_HBATCH:
-            self.metrics.binary_ingest_frames.inc()
-            self._ingest(connection, payload, binary=True, started=started)
+            self._ingest(connection, payload, started)
         elif kind == protocol.FRAME_JSON:
             document = protocol.decode_json_payload(payload)
             self._dispatch_op(connection, document, started)
@@ -351,9 +351,7 @@ class SummaryServer:
         self, connection: _Connection, document: dict, started: float
     ) -> None:
         operation = document.get("op")
-        if operation == "ingest":
-            self._ingest(connection, document, binary=False, started=started)
-        elif operation == "call":
+        if operation == "call":
             self._call(connection, document, started)
         elif operation == "hello":
             connection.queue.put_nowait(protocol.pack_json(self._hello()))
@@ -398,7 +396,6 @@ class SummaryServer:
             "protocol": protocol.PROTOCOL_VERSION,
             "server": "repro-serve",
             "hash_spec": protocol.spec_to_wire(self._hash_spec),
-            "binary_ingest": self._binary_ingest,
             "credits": self.config.credits,
             "retry_after": self.config.retry_after,
             "workers": getattr(self.summary, "workers", None),
@@ -430,9 +427,7 @@ class SummaryServer:
 
     # -- ingest path ---------------------------------------------------------
 
-    def _ingest(
-        self, connection: _Connection, payload, *, binary: bool, started: float
-    ) -> None:
+    def _ingest(self, connection: _Connection, payload: bytes, started: float) -> None:
         self.metrics.ingest_frames.inc()
         if (
             connection.busy_mode
@@ -452,9 +447,7 @@ class SummaryServer:
             return
         self.metrics.admit()
         connection.admitted += 1
-        future = self._run(
-            self._apply_binary if binary else self._apply_items, payload
-        )
+        future = self._run(self._apply_ingest, payload)
 
         async def settle() -> bytes:
             try:
@@ -478,15 +471,10 @@ class SummaryServer:
 
         connection.queue.put_nowait(asyncio.ensure_future(settle()))
 
-    def _apply_binary(self, payload: bytes) -> int:
-        """Executor-side: decode a binary frame and feed the hashed path."""
+    def _apply_ingest(self, payload: bytes) -> int:
+        """Executor-side: decode an ingest frame and feed the hashed path."""
         batch = protocol.decode_ingest_payload(payload, self._hash_spec)
         return self.summary.update_many_hashed(batch)
-
-    def _apply_items(self, document: dict) -> int:
-        """Executor-side: feed a JSON ingest frame through ``update_many``."""
-        items = [tuple(item) for item in document["items"]]
-        return self.summary.update_many(items)
 
     # -- query path ----------------------------------------------------------
 

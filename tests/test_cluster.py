@@ -9,9 +9,12 @@ stream — crossing process boundaries changes throughput, never answers.
 from __future__ import annotations
 
 import os
+import pickle
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     SketchSpec,
@@ -21,9 +24,15 @@ from repro.api import (
     sketch_info,
 )
 from repro.cluster import ClusterError, ShardedSummary
+from repro.cluster.transport import (
+    BatchDecodeError,
+    decode_hashed_batch,
+    encode_hashed_batch,
+)
 from repro.core.config import GSSConfig
 from repro.core.partitioned import PartitionedGSS
 from repro.hashing import count_key_hashes
+from repro.streaming.batch import HashedBatch, HashSpec
 
 #: Shard parameters shared by the cluster and the in-process reference.
 SHARD_PARAMS = dict(matrix_width=24, sequence_length=4, candidate_buckets=4)
@@ -72,18 +81,24 @@ class TestConstruction:
             ShardedSummary(inner_spec(), workers=1, batch_size=0)
 
     def test_unsized_inner_spec_fails_the_build_handshake(self):
-        with pytest.raises(ClusterError, match="SpecSizingError"):
-            ShardedSummary(SketchSpec("gss"), workers=1)
-        if not Path("/proc/self/fd").is_dir():
-            return  # the leak checks below read Linux's /proc
-        # A failed handshake closes its pipe and reaps its worker: repeated
-        # failures leave no descriptor and no zombie behind.
-        fds_before, children_before = open_fds(), child_pids()
-        for _ in range(5):
-            with pytest.raises(ClusterError, match="SpecSizingError"):
-                ShardedSummary(SketchSpec("gss"), workers=1)
-        assert open_fds() == fds_before
-        assert child_pids() == children_before
+        # An unsized GSS fails to build; TCM builds but has no hashed ingest
+        # path.  Both refusals arrive as the handshake's err reply.
+        for spec, reason in (
+            (SketchSpec("gss"), "SpecSizingError"),
+            (SketchSpec("tcm", memory_bytes=4096), "no hashed ingest path"),
+        ):
+            with pytest.raises(ClusterError, match=reason):
+                ShardedSummary(spec, workers=1)
+            if not Path("/proc/self/fd").is_dir():
+                continue  # the leak checks below read Linux's /proc
+            # A failed handshake closes its pipe and reaps its worker:
+            # repeated failures leave no descriptor and no zombie behind.
+            fds_before, children_before = open_fds(), child_pids()
+            for _ in range(5):
+                with pytest.raises(ClusterError, match=reason):
+                    ShardedSummary(spec, workers=1)
+            assert open_fds() == fds_before
+            assert child_pids() == children_before
 
     def test_registry_build_and_capabilities(self):
         with build("sharded-gss", memory_bytes=32 * 1024, params={"workers": 2}) as summary:
@@ -350,6 +365,93 @@ class TestTransports:
             assert report.items == len(small_stream)
             for key in list(small_stream.aggregate_weights())[:100]:
                 assert summary.edge_query(*key) == reference.edge_query(*key)
+
+
+CODEC_SPEC = HashSpec(seed=3, hash_range=1 << 20)
+
+
+def list_column_batch(count: int) -> HashedBatch:
+    """A hashed batch whose columns are plain lists, with or without NumPy."""
+    hashed = HashedBatch.from_items(
+        [(f"s{i % 7}", i, i / 3) for i in range(count)], CODEC_SPEC
+    )
+    return HashedBatch.from_columns(
+        CODEC_SPEC,
+        hashed.sources,
+        hashed.destinations,
+        hashed.weight_list(),
+        hashed.source_hash_list(),
+        hashed.destination_hash_list(),
+    )
+
+
+def decode_blob(blob: bytes) -> HashedBatch:
+    return decode_hashed_batch(blob, 0, len(blob), CODEC_SPEC)
+
+
+class TestHashedBatchCodec:
+    """The one batch format: pure stdlib, the same bytes for list and array
+    columns, and typed errors for every damaged blob."""
+
+    def test_list_and_array_columns_encode_identically(self):
+        batch = list_column_batch(40)
+        blob = encode_hashed_batch(batch)
+        # The layout pinned byte for byte: header, three columns, keys.
+        keys = pickle.dumps(
+            (batch.sources, batch.destinations), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        assert blob == struct.pack(
+            "=QQ40Q40Q40d",
+            40,
+            len(keys),
+            *batch.source_hash_list(),
+            *batch.destination_hash_list(),
+            *batch.weight_list(),
+        ) + keys
+        try:
+            import numpy as np
+        except ImportError:
+            np = None
+        if np is not None:  # the same batch on ndarray columns
+            array_batch = HashedBatch.from_columns(
+                CODEC_SPEC,
+                batch.sources,
+                batch.destinations,
+                np.asarray(batch.weight_list(), dtype=np.float64),
+                np.asarray(batch.source_hash_list(), dtype=np.uint64),
+                np.asarray(batch.destination_hash_list(), dtype=np.uint64),
+            )
+            assert encode_hashed_batch(array_batch) == blob
+        decoded = decode_blob(blob)
+        assert decoded.sources == batch.sources
+        assert decoded.destinations == batch.destinations
+        assert decoded.source_hash_list() == batch.source_hash_list()
+        assert decoded.destination_hash_list() == batch.destination_hash_list()
+        assert decoded.weight_list() == batch.weight_list()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_blobs_raise_only_batch_decode_error(self, data):
+        blob = encode_hashed_batch(list_column_batch(data.draw(st.integers(0, 20))))
+        if data.draw(st.booleans()):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            header = list(struct.unpack_from("=QQ", blob))
+            field = data.draw(st.integers(0, 1))
+            value = data.draw(st.integers(0, (1 << 64) - 1).filter(
+                lambda candidate: candidate != header[field]
+            ))
+            header[field] = value
+            damaged = struct.pack("=QQ", *header) + blob[16:]
+        with pytest.raises(BatchDecodeError):
+            decode_blob(damaged)
+
+    def test_undecodable_keys_are_a_batch_decode_error(self):
+        blob = encode_hashed_batch(list_column_batch(3))
+        # Right length, wrong bytes: the key section no longer unpickles.
+        damaged = blob[:-4] + b"\xff\xff\xff\xff"
+        with pytest.raises(BatchDecodeError, match="key section"):
+            decode_blob(damaged)
 
 
 class TestIngestStats:

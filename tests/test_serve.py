@@ -20,13 +20,15 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import SketchSpec, build, from_dict
-from repro.hashing.vectorized import NUMPY_AVAILABLE
+from repro.cluster.transport import BatchDecodeError
 from repro.serve import (
     ServeClient,
     ServeClientError,
     ServeConfig,
+    SummaryServer,
     fetch_http_metrics,
     serve_in_thread,
 )
@@ -132,7 +134,6 @@ class TestProtocolFraming:
         assert protocol.spec_from_wire(None) is None
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="binary frames need NumPy")
 class TestBinaryIngestFrames:
     SPEC = HashSpec(seed=1, hash_range=1 << 12, routing_seed=97)
 
@@ -161,16 +162,25 @@ class TestBinaryIngestFrames:
         assert list(decoded.route_hashes) == list(batch.route_hashes)
 
     def test_route_count_mismatch_rejected(self):
-        import numpy as np
-
         from repro.cluster.transport import encode_hashed_batch
 
         blob = encode_hashed_batch(self.batch(2))
-        payload = (
-            struct.pack("=Q", 3) + np.zeros(3, dtype=np.uint64).tobytes() + blob
-        )
+        payload = struct.pack("=Q", 3) + bytes(3 * 8) + blob
         with pytest.raises(protocol.ProtocolError, match="route column"):
             protocol.decode_ingest_payload(payload, self.SPEC)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_damaged_payloads_raise_only_batch_decode_error(self, data):
+        frame = protocol.encode_ingest_frame(self.batch(data.draw(st.integers(1, 12))))
+        payload = frame[protocol.HEADER_SIZE :]
+        if data.draw(st.booleans()):
+            damaged = payload[: data.draw(st.integers(0, len(payload) - 1))]
+        else:  # a route count the payload cannot hold
+            huge = data.draw(st.integers(len(payload) // 8, (1 << 64) - 1))
+            damaged = struct.pack("=Q", huge) + payload[8:]
+        with pytest.raises(BatchDecodeError):
+            protocol.decode_ingest_payload(damaged, self.SPEC)
 
     def test_batch_without_routes_travels(self):
         spec = HashSpec(seed=1, hash_range=1 << 12)  # no routing seed
@@ -182,6 +192,11 @@ class TestBinaryIngestFrames:
         assert decoded.items() == [("a", "b", 1.0)]
 
 
+def test_server_refuses_summary_without_hashed_ingest():
+    with pytest.raises(TypeError, match="hashed ingest"):
+        SummaryServer(build(SketchSpec("tcm", memory_bytes=4096)))
+
+
 class TestServeBasics:
     def test_hello_negotiation(self, client):
         assert client.server_info["protocol"] == protocol.PROTOCOL_VERSION
@@ -190,7 +205,8 @@ class TestServeBasics:
         assert client.retry_after > 0
         assert client.hash_spec is not None
         assert client.hash_spec.routing_seed is not None
-        assert client.binary_ingest == NUMPY_AVAILABLE
+        # Every client ships hashed-batch frames; nothing is negotiated.
+        assert "binary_ingest" not in client.server_info
 
     def test_read_your_writes_without_flush(self, client):
         client.ingest([("ryw-a", "ryw-b", 2.5)])
@@ -212,6 +228,11 @@ class TestServeBasics:
     def test_unknown_op_is_an_error_reply(self, client):
         with pytest.raises(ServeClientError, match="unknown op"):
             client._round_trip({"op": "frobnicate"})
+
+    def test_json_ingest_is_an_unknown_op(self, client):
+        # Ingest travels only as FRAME_HBATCH; a JSON item list is refused.
+        with pytest.raises(ServeClientError, match="unknown op 'ingest'"):
+            client._round_trip({"op": "ingest", "items": [["a", "b", 1.0]]})
 
     def test_only_allowed_methods_are_callable(self, client):
         with pytest.raises(ServeClientError, match="method"):
@@ -278,15 +299,13 @@ def assert_equivalent(client: ServeClient, reference, stream) -> None:
 class TestServedEquivalence:
     """One feed through the server == the same stream fed in process."""
 
-    def run_equivalence(self, force_json: bool) -> None:
+    def test_binary_ingest_equivalent(self):
         stream = synthetic_stream(2500, nodes=250, seed=13)
         cluster = build(make_spec())
         reference = build(make_spec())
         handle = serve_in_thread(cluster, ServeConfig(close_summary=False))
         try:
             with ServeClient(handle.host, handle.port, batch_size=256) as feed:
-                if force_json:
-                    feed.binary_ingest = False
                 feed.ingest(stream)
                 feed.flush()
                 reference.update_many(stream)
@@ -296,13 +315,6 @@ class TestServedEquivalence:
             handle.stop()
             cluster.close()
             reference.close()
-
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="binary path needs NumPy")
-    def test_binary_ingest_equivalent(self):
-        self.run_equivalence(force_json=False)
-
-    def test_json_ingest_equivalent(self):
-        self.run_equivalence(force_json=True)
 
 
 class TestBackpressure:
