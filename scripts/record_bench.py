@@ -30,12 +30,12 @@ query clients over real TCP), recording ``served_throughput_edges_per_s``,
 ``served_vs_inprocess`` (the protocol's toll against the same cluster fed
 directly) and the p50/p99 served query latency.
 
-With ``--profile`` each backend's run also records where batched-ingest time
-goes (hashing / placement / buffer-spill / memo upkeep, totals and per
-batch) under ``results.<backend>.ingest_profile`` — plus, from the
-:mod:`repro.obs` registry the profiler forwards into, per-stage latency
-*distributions* (count, total, p50/p99) under
-``results.<backend>.obs_stage_seconds``.
+With ``--profile`` each backend's run is wrapped in an :mod:`repro.obs`
+registry and records where batched-ingest time goes (hashing / placement /
+buffer-spill / memo upkeep) as per-stage latency distributions (count,
+total, p50/p99) under ``results.<backend>.obs_stage_seconds``.  Entries
+written before the matrix backends timed their stages into obs also carry
+an ``ingest_profile`` dict of stage totals; they stay readable.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--repeats", type=int, default=1,
                         help="cold runs averaged per measurement (default 1)")
     parser.add_argument("--profile", action="store_true",
-                        help="record a per-stage ingest profile (hashing / "
+                        help="record per-stage ingest timings (hashing / "
                              "placement / buffer-spill / memo upkeep) for "
                              "every backend's run")
     parser.add_argument("--workers", type=int, default=0,
@@ -187,12 +187,11 @@ def structure_rates(rows, structure: str) -> dict:
 def obs_stage_document(obs_registry) -> dict:
     """Per-stage ingest *distributions* from the obs registry.
 
-    The legacy ``ingest_profile`` dict carries stage totals; this rides
-    along with per-stage count/total plus p50/p99 estimated from the
+    Per-stage count/total plus p50/p99 estimated from the
     ``repro_ingest_stage_seconds`` histogram buckets.
     """
-    from repro.metrics.ingest_profile import STAGE_FAMILY
     from repro.obs.registry import histogram_quantile
+    from repro.obs.trace import STAGE_FAMILY
 
     snapshot = obs_registry.snapshot()
     family = snapshot["families"].get(STAGE_FAMILY)
@@ -249,36 +248,34 @@ def main(argv=None) -> int:
         config = build_config(args, backend)
         print(f"== running tab1 on backend={backend} ==", flush=True)
         if args.profile:
-            from repro.metrics.ingest_profile import profile_ingest
             from repro.obs import trace as obs_trace
 
-            # The obs registry records the same stage timings as latency
-            # *histograms* (IngestProfile.add forwards into it), so the
-            # bench document carries per-stage distributions, not just sums.
-            with profile_ingest() as profile, obs_trace.scoped() as obs_registry:
+            # The matrix backends time each batched-ingest stage into the
+            # active registry's repro_ingest_stage_seconds histograms.
+            with obs_trace.scoped() as obs_registry:
                 result = run_update_speed_experiment(config)
         else:
-            profile = None
             obs_registry = None
             result = run_update_speed_experiment(config)
         print(result.to_text())
         print()
         run_entry["results"][backend] = results_to_document([result], config)
-        if profile is not None:
-            # Stage times cover every batched GSS/cluster ingest of the run
-            # (the scalar GSS(update) rows and non-GSS structures have no
-            # batched stages to attribute).
-            run_entry["results"][backend]["ingest_profile"] = profile.as_dict()
-            run_entry["results"][backend]["obs_stage_seconds"] = (
-                obs_stage_document(obs_registry)
-            )
-            total = sum(profile.stages.values())
+        if obs_registry is not None:
+            # Stage times cover every in-process batched GSS ingest of the
+            # run (the scalar GSS(update) rows and non-GSS structures have
+            # no batched stages to attribute).
+            stages = obs_stage_document(obs_registry)
+            run_entry["results"][backend]["obs_stage_seconds"] = stages
+            total = sum(stage["total_seconds"] for stage in stages.values())
             shares = ", ".join(
-                f"{stage} {seconds / total:.0%}"
-                for stage, seconds in sorted(profile.stages.items())
+                f"{name} {stage['total_seconds'] / total:.0%}"
+                for name, stage in stages.items()
             ) if total else "no batched stages recorded"
+            # Every batched ingest places its edges, so the placement
+            # series counts batches.
+            batches = stages.get("placement", {}).get("count", 0)
             print(f"ingest profile [{backend}]: {shares} "
-                  f"({profile.batches} batches, {total:.3f}s staged)")
+                  f"({batches} batches, {total:.3f}s staged)")
         rates[backend] = update_many_rates(result.rows)
         adjacency_rates[backend] = structure_rates(result.rows, "Adjacency Lists")
         if args.workers:

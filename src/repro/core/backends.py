@@ -35,6 +35,22 @@ per-*edge* slot map and lets it skip per-candidate room lookups entirely for
 edges it has already seen.  ``tests/test_numpy_backend.py`` drives both
 backends through random streams (deletions, buffer overflow, serialization,
 merges) and asserts the results match item-for-item.
+
+While an obs registry is active (:func:`repro.obs.trace.active`; otherwise
+a batch costs one ``is None`` check), every batched ingest observes each of
+its stages once into ``repro_ingest_stage_seconds{stage}``:
+
+* ``hashing`` — node IDs to packed edge keys, node-memo upkeep included;
+* ``placement`` — aggregation, edge classification and the bucket-probe /
+  contention walk (one kernel call on the native backend);
+* ``buffer_spill`` — moving edges that found no room into the left-over
+  buffer;
+* ``memo`` — pair-cache upkeep (numpy update path).
+
+Stages are disjoint — a nested stage is subtracted from its container — so
+they sum to at most the ingest time.  The pure-Python backend reports only
+``hashing`` and ``placement`` (its spill is interleaved with placement), and
+hash-level ingest (``ingest_hashed``) has no hashing stage to report.
 """
 
 from __future__ import annotations
@@ -50,7 +66,6 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tupl
 from repro.core.config import GSSConfig
 from repro.hashing.hash_functions import _FNV_OFFSET, _count_hashes, _splitmix64
 from repro.hashing.linear_congruence import recover_address
-from repro.metrics.ingest_profile import active_profile
 from repro.hashing.vectorized import (
     NUMPY_AVAILABLE,
     address_sequences,
@@ -59,6 +74,7 @@ from repro.hashing.vectorized import (
     load_numpy,
     node_hashes_array,
 )
+from repro.obs.trace import active as obs_active, stage_histogram
 
 #: Lazily bound NumPy module (populated by the first NumpyMatrixBackend), so
 #: pure-Python sketches never pay the NumPy import cost.
@@ -285,8 +301,8 @@ class PythonMatrixBackend:
         sketch = self._sketch
         hasher = sketch._hasher
         node_index = sketch._node_index
-        profile = active_profile()
-        started = perf_counter() if profile is not None else 0.0
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
         hashes: Dict[Hashable, int] = {}
         aggregated: Dict[Tuple[int, int], float] = {}
         count = 0
@@ -304,16 +320,14 @@ class PythonMatrixBackend:
                     node_index.record(destination, destination_hash)
             key = (source_hash, destination_hash)
             aggregated[key] = aggregated.get(key, 0.0) + weight
-        if profile is not None:
-            hashed_at = perf_counter()
-            profile.add("hashing", hashed_at - started)
+        hashed_at = perf_counter() if registry is not None else 0.0
         for (source_hash, destination_hash), weight in aggregated.items():
             self.insert_edge(source_hash, destination_hash, weight)
-        if profile is not None:
+        if registry is not None:
             # Buffer spill is interleaved inside insert_edge on this backend,
             # so it is accounted under placement.
-            profile.add("placement", perf_counter() - hashed_at)
-            profile.count_batch()
+            stage_histogram(registry, "hashing").observe(hashed_at - started)
+            stage_histogram(registry, "placement").observe(perf_counter() - hashed_at)
         return count
 
     def update_many_by_hash(self, edges: Iterable[Tuple[int, int, float]]) -> int:
@@ -336,6 +350,8 @@ class PythonMatrixBackend:
         as :meth:`update_many_by_hash`, so placement is identical to every
         other ingest route.  The node index is the sketch's business.
         """
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
         aggregated: Dict[Tuple[int, int], float] = {}
         count = 0
         for source_hash, destination_hash, weight in zip(
@@ -346,6 +362,8 @@ class PythonMatrixBackend:
             aggregated[key] = aggregated.get(key, 0.0) + weight
         for (source_hash, destination_hash), weight in aggregated.items():
             self.insert_edge(source_hash, destination_hash, weight)
+        if registry is not None:
+            stage_histogram(registry, "placement").observe(perf_counter() - started)
         return count
 
     # -- queries -----------------------------------------------------------
@@ -487,16 +505,15 @@ class NumpyMatrixBackend:
     #: are still hashed (and re-hashed) correctly, just without caching, so a
     #: long-running process cannot grow without bound.
     _NODE_CACHE_LIMIT = 1 << 20
-    #: Default for ``GSSConfig.scalar_tail_threshold``: below this many new
-    #: edges (or unknown items), the batch tail runs through the scalar
-    #: helpers instead of the array pipeline — fixed per-call NumPy overhead
-    #: beats vectorization on tiny inputs, and the scalar path shares the
-    #: address/candidate memos, so it is cheap and — by construction —
-    #: placement-identical.  Micro-calibrated on the Table I streams with
-    #: ``scripts/calibrate_scalar_tail.py``: the scalar/vector crossover sits
-    #: in the 64–128 range, flat to within measurement noise, and 96 is the
-    #: midpoint that measured best overall (see BENCH_tab1.json).
-    _SCALAR_TAIL_DEFAULT = 96
+    #: Batch tails with at most this many new edges (or unknown items) run
+    #: through the scalar helpers instead of the array pipeline — fixed
+    #: per-call NumPy overhead beats vectorization on tiny inputs, and the
+    #: scalar path shares the address/candidate memos, so it is cheap and —
+    #: by construction — placement-identical.  Micro-calibrated on the
+    #: Table I streams: the scalar/vector crossover sits in the 64–128 range,
+    #: flat to within measurement noise, and 96 is the midpoint that
+    #: measured best overall (see BENCH_tab1.json).
+    _SCALAR_TAIL = 96
 
     def __init__(self, sketch) -> None:
         if not NUMPY_AVAILABLE:  # pragma: no cover - guarded by make_backend
@@ -511,11 +528,6 @@ class NumpyMatrixBackend:
         self._hash_range = config.hash_range
         # Packed uint64 edge keys need H(s) * M + H(d) < 2**64.
         self._packed_keys = self._hash_range <= (1 << 32)
-        self._scalar_tail = (
-            config.scalar_tail_threshold
-            if config.scalar_tail_threshold is not None
-            else self._SCALAR_TAIL_DEFAULT
-        )
         capacity = self._INITIAL_CAPACITY
         self._rows = np.zeros(capacity, dtype=np.int64)
         self._cols = np.zeros(capacity, dtype=np.int64)
@@ -704,20 +716,17 @@ class NumpyMatrixBackend:
         if not triples:
             return 0
         count = len(triples)
-        profile = active_profile()
-        if profile is not None:
-            started = perf_counter()
-            memo_before = profile.stage_seconds("memo")
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
+        memo = 0.0
         sources, destinations, weights = zip(*triples)
         weight_array = np.asarray(weights, dtype=np.float64)
         if not self._packed_keys:
             source_hashes, destination_hashes = self._node_hashes_for(
                 sources, destinations
             )
-            if profile is not None:
-                memo_spent = profile.stage_seconds("memo") - memo_before
-                profile.add("hashing", perf_counter() - started - memo_spent)
-                profile.count_batch()
+            if registry is not None:
+                stage_histogram(registry, "hashing").observe(perf_counter() - started)
             self._ingest_hash_pairs(source_hashes, destination_hashes, weight_array)
             return count
         # Packed-key fast path: one dict probe per item resolves repeat
@@ -731,7 +740,7 @@ class NumpyMatrixBackend:
         unknown = keys == _KEY_SENTINEL
         if unknown.any():
             unknown_positions = np.nonzero(unknown)[0].tolist()
-            if len(unknown_positions) <= self._scalar_tail:
+            if len(unknown_positions) <= self._SCALAR_TAIL:
                 self._resolve_pairs_scalar(sources, destinations, unknown_positions, keys)
             else:
                 unknown_sources = [sources[position] for position in unknown_positions]
@@ -744,16 +753,15 @@ class NumpyMatrixBackend:
                 resolved = source_hashes * np.uint64(self._hash_range) + destination_hashes
                 keys[unknown] = resolved
                 if len(pair_cache) < self._NODE_CACHE_LIMIT:
-                    memo_started = perf_counter() if profile is not None else 0.0
+                    memo_started = perf_counter() if registry is not None else 0.0
                     pair_cache.update(
                         zip(zip(unknown_sources, unknown_destinations), resolved.tolist())
                     )
-                    if profile is not None:
-                        profile.add("memo", perf_counter() - memo_started)
-        if profile is not None:
-            memo_spent = profile.stage_seconds("memo") - memo_before
-            profile.add("hashing", perf_counter() - started - memo_spent)
-            profile.count_batch()
+                    if registry is not None:
+                        memo = perf_counter() - memo_started
+        if registry is not None:
+            stage_histogram(registry, "memo").observe(memo)
+            stage_histogram(registry, "hashing").observe(perf_counter() - started - memo)
         self._ingest_keys(keys, weight_array)
         return count
 
@@ -817,11 +825,7 @@ class NumpyMatrixBackend:
                 for node, node_hash in zip(missing, hashed):
                     node_index.record(node, node_hash)
             if len(cache) < self._NODE_CACHE_LIMIT:
-                profile = active_profile()
-                memo_started = perf_counter() if profile is not None else 0.0
                 cache.update(zip(missing, hashed))
-                if profile is not None:
-                    profile.add("memo", perf_counter() - memo_started)
                 lookup = cache
             else:
                 # Cache is at capacity: resolve this batch through a private
@@ -889,10 +893,9 @@ class NumpyMatrixBackend:
         ordering that is observable, because it decides same-batch bucket
         contention and buffer-entry creation.
         """
-        profile = active_profile()
-        if profile is not None:
-            started = perf_counter()
-            spill_before = profile.stage_seconds("buffer_spill")
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
+        spill = 0.0
         unique_keys, first_index, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
@@ -917,7 +920,7 @@ class NumpyMatrixBackend:
         if buffered.any():
             # These edges already own their buffer entries, so add order
             # cannot affect buffer iteration order.
-            spill_started = perf_counter() if profile is not None else 0.0
+            spill_started = perf_counter() if registry is not None else 0.0
             buffer = self._sketch._buffer
             source_hashes, destination_hashes = np.divmod(
                 unique_keys[buffered], hash_range
@@ -928,8 +931,8 @@ class NumpyMatrixBackend:
                 sums[buffered].tolist(),
             ):
                 buffer.add(source_hash, destination_hash, weight)
-            if profile is not None:
-                profile.add("buffer_spill", perf_counter() - spill_started)
+            if registry is not None:
+                spill = perf_counter() - spill_started
         unseen = slots == _UNSEEN
         if unseen.any():
             # First-seen order decides who wins contended rooms; restore it
@@ -937,23 +940,35 @@ class NumpyMatrixBackend:
             order = np.argsort(first_index[unseen], kind="stable")
             unseen_keys = unique_keys[unseen][order]
             source_hashes, destination_hashes = np.divmod(unseen_keys, hash_range)
-            if len(unseen_keys) <= self._scalar_tail:
+            unseen_sums = sums[unseen][order]
+            unseen_key_list = unseen_keys.tolist()
+            if len(unseen_keys) <= self._SCALAR_TAIL:
                 self._place_new_edges_scalar(
                     source_hashes.tolist(),
                     destination_hashes.tolist(),
-                    sums[unseen][order].tolist(),
-                    unseen_keys.tolist(),
+                    unseen_sums.tolist(),
+                    unseen_key_list,
                 )
             else:
-                self._place_new_edges(
-                    source_hashes,
-                    destination_hashes,
-                    sums[unseen][order],
-                    unseen_keys.tolist(),
+                overflowed = self._place_new_edges(
+                    source_hashes, destination_hashes, unseen_sums, unseen_key_list
                 )
-        if profile is not None:
-            spill_spent = profile.stage_seconds("buffer_spill") - spill_before
-            profile.add("placement", perf_counter() - started - spill_spent)
+                if overflowed:
+                    spill_started = perf_counter() if registry is not None else 0.0
+                    self._spill_new_edges(
+                        overflowed,
+                        source_hashes,
+                        destination_hashes,
+                        unseen_sums,
+                        unseen_key_list,
+                    )
+                    if registry is not None:
+                        spill += perf_counter() - spill_started
+        if registry is not None:
+            stage_histogram(registry, "buffer_spill").observe(spill)
+            stage_histogram(registry, "placement").observe(
+                perf_counter() - started - spill
+            )
 
     def _ingest_hash_pairs(self, source_hashes, destination_hashes, weights) -> None:
         """Ingest fallback for hash ranges too large to pack into uint64.
@@ -993,12 +1008,17 @@ class NumpyMatrixBackend:
                 buffer.add(source_hash, destination_hash, weight)
         unseen = slots == _UNSEEN
         if unseen.any():
-            self._place_new_edges(
-                ordered_sources[unseen],
-                ordered_destinations[unseen],
-                ordered_sums[unseen],
-                [key for key, new in zip(key_list, unseen.tolist()) if new],
+            new_sources = ordered_sources[unseen]
+            new_destinations = ordered_destinations[unseen]
+            new_sums = ordered_sums[unseen]
+            new_keys = [key for key, new in zip(key_list, unseen.tolist()) if new]
+            overflowed = self._place_new_edges(
+                new_sources, new_destinations, new_sums, new_keys
             )
+            if overflowed:
+                self._spill_new_edges(
+                    overflowed, new_sources, new_destinations, new_sums, new_keys
+                )
 
     def _place_new_edges_scalar(
         self,
@@ -1059,7 +1079,9 @@ class NumpyMatrixBackend:
                 buffer.add(source_hash, destination_hash, weight)
         self._append_rooms(staged)
 
-    def _place_new_edges(self, source_hashes, destination_hashes, sums, keys) -> None:
+    def _place_new_edges(
+        self, source_hashes, destination_hashes, sums, keys
+    ) -> List[int]:
         """Place previously unseen edges, probing candidates in order.
 
         All hashing-derived quantities — fingerprints, address sequences,
@@ -1068,6 +1090,9 @@ class NumpyMatrixBackend:
         and touches ``_bucket_fill``.  A new edge cannot collide with any
         existing room (a room key determines its edge), so the probe only
         needs bucket fill counts, never room lookups.
+
+        Returns the positions of the edges that found no free room, in
+        first-seen order; the caller hands them to :meth:`_spill_new_edges`.
         """
         sketch = self._sketch
         config = sketch.config
@@ -1166,20 +1191,25 @@ class NumpyMatrixBackend:
                 column_indices[edge_array, probe_array] + 1,
                 sums[edge_array],
             )
-        if overflowed:
-            profile = active_profile()
-            spill_started = perf_counter() if profile is not None else 0.0
-            buffer = sketch._buffer
-            edge_slot.update(zip([keys[edge] for edge in overflowed], _repeat(_BUFFERED)))
-            spilled = np.asarray(overflowed, dtype=np.int64)
-            for source_hash, destination_hash, weight in zip(
-                source_hashes[spilled].tolist(),
-                destination_hashes[spilled].tolist(),
-                sums[spilled].tolist(),
-            ):
-                buffer.add(source_hash, destination_hash, weight)
-            if profile is not None:
-                profile.add("buffer_spill", perf_counter() - spill_started)
+        return overflowed
+
+    def _spill_new_edges(
+        self, overflowed, source_hashes, destination_hashes, sums, keys
+    ) -> None:
+        """Send the edges :meth:`_place_new_edges` could not place to the
+        left-over buffer, in first-seen order (this order creates buffer
+        entries and is observable)."""
+        buffer = self._sketch._buffer
+        self._edge_slot.update(
+            zip([keys[edge] for edge in overflowed], _repeat(_BUFFERED))
+        )
+        spilled = np.asarray(overflowed, dtype=np.int64)
+        for source_hash, destination_hash, weight in zip(
+            source_hashes[spilled].tolist(),
+            destination_hashes[spilled].tolist(),
+            sums[spilled].tolist(),
+        ):
+            buffer.add(source_hash, destination_hash, weight)
 
     # -- queries -----------------------------------------------------------
 
@@ -1393,9 +1423,8 @@ class NativeMatrixBackend(NumpyMatrixBackend):
         if not triples:
             return 0
         count = len(triples)
-        profile = active_profile()
-        if profile is not None:
-            started = perf_counter()
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
         sources, destinations, weights = zip(*triples)
         try:
             joined = "\x00".join(chain.from_iterable(zip(sources, destinations)))
@@ -1410,9 +1439,7 @@ class NativeMatrixBackend(NumpyMatrixBackend):
         spill_count = self._spill_ctr
         rebuf_count = self._rebuf_ctr
         new_count = self._new_ctr
-        if profile is not None:
-            profile.add("hashing", perf_counter() - started)
-            started = perf_counter()
+        marshalled = perf_counter() if registry is not None else 0.0
         new_size = self._lib.gss_ingest_text_batch(
             self._ctx,
             blob,
@@ -1447,16 +1474,12 @@ class NativeMatrixBackend(NumpyMatrixBackend):
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += new_size - self._size
         self._size = new_size
-        if profile is not None:
-            profile.add("placement", perf_counter() - started)
-            started = perf_counter()
+        placed = perf_counter() if registry is not None else 0.0
         self._apply_buffer_arrays(
             self._sc_spill_keys, self._sc_spill_sums, spill_count.value,
             self._sc_rebuf_keys, self._sc_rebuf_sums, rebuf_count.value,
         )
-        if profile is not None:
-            profile.add("buffer_spill", perf_counter() - started)
-            started = perf_counter()
+        spilled = perf_counter() if registry is not None else 0.0
         fresh = new_count.value
         if fresh:
             pairs = [
@@ -1474,9 +1497,14 @@ class NativeMatrixBackend(NumpyMatrixBackend):
             if len(cache) < self._NODE_CACHE_LIMIT:
                 cache.update(pairs)
             _count_hashes(fresh)
-        if profile is not None:
-            profile.add("hashing", perf_counter() - started)
-            profile.count_batch()
+        if registry is not None:
+            # Hashing brackets the kernel call: blob marshalling before it,
+            # mirroring new nodes into the index and node memo after it.
+            stage_histogram(registry, "hashing").observe(
+                marshalled - started + perf_counter() - spilled
+            )
+            stage_histogram(registry, "placement").observe(placed - marshalled)
+            stage_histogram(registry, "buffer_spill").observe(spilled - placed)
         return count
 
     def _ingest_keys(self, keys, weights) -> None:
@@ -1484,9 +1512,8 @@ class NativeMatrixBackend(NumpyMatrixBackend):
         count = len(keys)
         if count == 0:
             return
-        profile = active_profile()
-        if profile is not None:
-            started = perf_counter()
+        registry = obs_active()
+        started = perf_counter() if registry is not None else 0.0
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         # Worst case every key is new and placeable: reserve room slots up
@@ -1521,15 +1548,14 @@ class NativeMatrixBackend(NumpyMatrixBackend):
             raise MemoryError("native kernel batch allocation failed")
         self.matrix_edge_count += new_size - self._size
         self._size = new_size
-        if profile is not None:
-            profile.add("placement", perf_counter() - started)
-            started = perf_counter()
+        placed = perf_counter() if registry is not None else 0.0
         self._apply_buffer_arrays(
             self._sc_spill_keys, self._sc_spill_sums, spill_count.value,
             self._sc_rebuf_keys, self._sc_rebuf_sums, rebuf_count.value,
         )
-        if profile is not None:
-            profile.add("buffer_spill", perf_counter() - started)
+        if registry is not None:
+            stage_histogram(registry, "placement").observe(placed - started)
+            stage_histogram(registry, "buffer_spill").observe(perf_counter() - placed)
 
     def _apply_buffer_arrays(
         self, spill_keys, spill_sums, spills, rebuf_keys, rebuf_sums, rebufs

@@ -51,15 +51,6 @@ class GSSConfig:
         Requesting a backend whose prerequisites are missing falls back down
         that chain with a warning.  All backends are observationally
         identical; the choice only affects speed and dependencies.
-    scalar_tail_threshold:
-        Batch tails with at most this many new edges (or unresolved node
-        pairs) run through the scalar helpers instead of the array pipeline
-        on the numpy/native backends — fixed per-call NumPy overhead beats
-        vectorization on tiny inputs.  ``None`` (the default) uses the
-        micro-calibrated built-in default (96; see
-        ``scripts/calibrate_scalar_tail.py``).  Placement is identical on
-        both sides of the threshold by construction, so this is purely a
-        performance knob.
     """
 
     matrix_width: int
@@ -72,7 +63,6 @@ class GSSConfig:
     keep_node_index: bool = True
     seed: int = 0
     backend: str = "python"
-    scalar_tail_threshold: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.matrix_width <= 0:
@@ -89,8 +79,6 @@ class GSSConfig:
             raise ValueError(
                 "backend must be one of 'python', 'numpy', 'native', 'auto'"
             )
-        if self.scalar_tail_threshold is not None and self.scalar_tail_threshold < 0:
-            raise ValueError("scalar_tail_threshold must be non-negative")
 
     @property
     def fingerprint_range(self) -> int:

@@ -53,7 +53,6 @@ def sketch_to_dict(sketch: GSS, include_node_index: bool = True) -> Dict:
             # the same backend that actually wrote it — modulo the restoring
             # machine's own availability fallbacks.
             "backend": sketch.backend_name,
-            "scalar_tail_threshold": config.scalar_tail_threshold,
         },
         "matrix_edge_count": sketch.matrix_edge_count,
         "update_count": sketch.update_count,
@@ -110,7 +109,11 @@ def sketch_from_dict(document: Dict, backend: Optional[str] = None) -> GSS:
             RuntimeWarning,
             stacklevel=2,
         )
-    config = GSSConfig(**document["config"])
+    config_fields = dict(document["config"])
+    # Retired performance knob (now NumpyMatrixBackend._SCALAR_TAIL); older
+    # snapshots still carry it.
+    config_fields.pop("scalar_tail_threshold", None)
+    config = GSSConfig(**config_fields)
     if backend is not None:
         config = replace(config, backend=backend)
     sketch = GSS(config)

@@ -8,8 +8,9 @@ cluster and the network front end, at near-zero cost when disabled.
   with labels, fixed log-scale latency buckets and **mergeable** snapshots
   (worker ⊕ worker ⊕ parent composes associatively);
 * :mod:`repro.obs.trace` — the ``with span("ingest.placement", shard=i)``
-  API plus the process-global enable/disable switch (one ``is None`` check
-  on the hot path, same discipline as ``IngestProfile``);
+  API, the ``repro_ingest_stage_seconds`` family the matrix backends time
+  their ingest stages into, and the process-global enable/disable switch
+  (one ``is None`` check per batch on the hot path);
 * :mod:`repro.obs.export` — Prometheus text rendering (served by
   ``GET /metrics`` under ``Accept: text/plain``), a minimal parser for CI
   assertions, and the ``python -m repro obs`` pretty-printer.

@@ -1,11 +1,17 @@
-"""Span tracing and the process-global telemetry switch.
+"""Span tracing, ingest-stage timing and the process-global telemetry switch.
 
-Follows the :class:`~repro.metrics.ingest_profile.IngestProfile` discipline
-exactly: a module-level ``Optional[MetricsRegistry]`` is the whole on/off
+A module-level ``Optional[MetricsRegistry]`` is the whole on/off
 mechanism, so the disabled common case costs one ``is None`` check — and
 :func:`span` returns one shared :data:`_NULL_SPAN` singleton when telemetry
 is off, so the hot path allocates **nothing** (the disabled-mode overhead
 guard in the test suite pins this).
+
+The matrix backends (:mod:`repro.core.backends`) read :func:`active` once
+per batch and, when a registry is installed, observe each batched-ingest
+stage — ``hashing``, ``placement``, ``buffer_spill``, ``memo`` — once into
+``repro_ingest_stage_seconds{stage}`` via :func:`stage_histogram`.  Worker
+processes install their own registry, so a cluster's per-shard stage mix
+reaches the parent through the ordinary snapshot merge.
 
 Enabled spans record wall-clock durations into the shared
 ``repro_span_seconds`` histogram family, labelled by span name plus any
@@ -37,17 +43,22 @@ from repro.obs.registry import Histogram, MetricsRegistry
 
 __all__ = [
     "SPAN_FAMILY",
+    "STAGE_FAMILY",
     "Span",
     "active",
     "disable",
     "enable",
     "scoped",
     "span",
+    "stage_histogram",
 ]
 
 #: Every span records into this histogram family, labelled ``span=<name>``.
 SPAN_FAMILY = "repro_span_seconds"
 _SPAN_HELP = "Duration of traced code spans (label: span name)."
+#: Batched-ingest stage timings, labelled ``stage=<name>``.
+STAGE_FAMILY = "repro_ingest_stage_seconds"
+_STAGE_HELP = "Batched-ingest stage durations (label: stage name)."
 
 #: The active registry, or ``None`` (the common case: zero-cost fast path).
 _active: Optional[MetricsRegistry] = None
@@ -145,3 +156,8 @@ def span(
     if target is None:
         return _NULL_SPAN
     return Span(target.histogram(SPAN_FAMILY, _SPAN_HELP, span=name, **labels))
+
+
+def stage_histogram(registry: MetricsRegistry, stage: str) -> Histogram:
+    """The ``repro_ingest_stage_seconds{stage=...}`` series of ``registry``."""
+    return registry.histogram(STAGE_FAMILY, _STAGE_HELP, stage=stage)

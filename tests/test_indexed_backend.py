@@ -30,6 +30,8 @@ from repro.core.serialization import sketch_from_dict, sketch_to_dict
 from repro.core.undirected import UndirectedGSS
 from repro.core.windowed import WindowedGSS
 
+from oracles import neighbor_hashes_unindexed, reconstruct_sketch_edges_unindexed
+
 # Streams over a small node universe with insertions AND deletions (negative
 # weights), sized so small matrices overflow into the left-over buffer.
 edge_items = st.tuples(
@@ -86,12 +88,12 @@ class TestIndexedEqualsUnindexed:
         for node in nodes:
             node_hash = sketch.node_hash(node)
             assert sketch._neighbor_hashes(node_hash, forward=True) == (
-                sketch._neighbor_hashes_unindexed(node_hash, forward=True)
+                neighbor_hashes_unindexed(sketch, node_hash, forward=True)
             )
             assert sketch._neighbor_hashes(node_hash, forward=False) == (
-                sketch._neighbor_hashes_unindexed(node_hash, forward=False)
+                neighbor_hashes_unindexed(sketch, node_hash, forward=False)
             )
-        assert sketch.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges_unindexed()
+        assert sketch.reconstruct_sketch_edges() == reconstruct_sketch_edges_unindexed(sketch)
         assert_indexes_consistent(sketch)
 
     @given(items=streams, config=configs)
@@ -118,7 +120,7 @@ class TestIndexedEqualsUnindexed:
         items = [(s, d, 1.0) for s in range(12) for d in range(12)]
         sketch = ingest(config, items)
         assert sketch.buffer_edge_count > 0  # the scenario actually overflows
-        assert sketch.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges_unindexed()
+        assert sketch.reconstruct_sketch_edges() == reconstruct_sketch_edges_unindexed(sketch)
 
 
 class TestIndexesSurviveRoundTrips:

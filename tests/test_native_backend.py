@@ -14,8 +14,9 @@ to the compiled backend:
 * the whole-batch text ingestion path and its fallbacks (non-string node
   IDs, embedded NUL bytes), which must be invisible to every observer:
   queries, node index, serialization, and the hash-once counter;
-* snapshots recording the *resolved* backend name, and old snapshots
-  (written before ``scalar_tail_threshold`` existed) loading unchanged.
+* snapshots recording the *resolved* backend name, and old snapshots —
+  written before the backend field existed, or carrying the retired
+  scalar-tail config knob — loading unchanged.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ class TestSerializationAndMerge:
         sketch = make("numpy")
         sketch.update_many(stream(50))
         document = sketch_to_dict(sketch)
-        # Simulate a snapshot written before this release.
-        del document["config"]["scalar_tail_threshold"]
+        # Simulate a snapshot written before the backend field existed.
+        del document["config"]["backend"]
         restored = sketch_from_dict(document, backend="native")
         assert restored.backend_name == "native"
         assert restored.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges()
@@ -273,31 +274,33 @@ class TestSerializationAndMerge:
 
 
 class TestScalarTailKnob:
-    def test_knob_validates(self):
-        with pytest.raises(ValueError, match="scalar_tail_threshold"):
-            GSSConfig(matrix_width=8, scalar_tail_threshold=-1)
+    """The scalar/vector crossover is the constant
+    ``NumpyMatrixBackend._SCALAR_TAIL``; it was once a config field."""
 
     @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="NumPy not installed")
-    def test_knob_threads_into_numpy_backend(self):
-        default = make("numpy")
-        assert default._matrix._scalar_tail == default._matrix._SCALAR_TAIL_DEFAULT
-        tuned = make("numpy", scalar_tail_threshold=7)
-        assert tuned._matrix._scalar_tail == 7
-        # Zero disables the scalar tail entirely; results are unaffected.
-        vectorized = make("numpy", scalar_tail_threshold=0)
-        items = stream(90)
-        tuned.update_many(items)
-        vectorized.update_many(items)
-        assert tuned.reconstruct_sketch_edges() == vectorized.reconstruct_sketch_edges()
+    def test_knob_threads_into_numpy_backend(self, monkeypatch):
+        from repro.core.backends import NumpyMatrixBackend
 
-    def test_knob_round_trips_through_snapshots(self):
-        sketch = GSS(GSSConfig(matrix_width=8, sequence_length=2,
-                               candidate_buckets=2, scalar_tail_threshold=13))
-        sketch.update("a", "b", 1.0)
+        # 90 items stay under the default tail: the scalar helpers run.
+        items = stream(90)
+        tailed = make("numpy")
+        tailed.update_many(items)
+        # Zero disables the scalar tail entirely; results are unaffected.
+        monkeypatch.setattr(NumpyMatrixBackend, "_SCALAR_TAIL", 0)
+        vectorized = make("numpy")
+        vectorized.update_many(items)
+        assert tailed.reconstruct_sketch_edges() == vectorized.reconstruct_sketch_edges()
+
+    def test_snapshot_with_retired_knob_restores_identically(self):
+        sketch = make("python")
+        sketch.update_many(stream(120))
         document = sketch_to_dict(sketch)
-        assert document["config"]["scalar_tail_threshold"] == 13
+        # A snapshot written while the knob was a GSSConfig field.
+        document["config"]["scalar_tail_threshold"] = 13
         restored = sketch_from_dict(document)
-        assert restored.config.scalar_tail_threshold == 13
+        assert restored.config == sketch.config
+        assert restored.reconstruct_sketch_edges() == sketch.reconstruct_sketch_edges()
+        assert sketch_to_dict(restored) == sketch_to_dict(sketch)
 
 
 class TestCompileFlags:
@@ -333,6 +336,10 @@ class TestCompileFlags:
 
         monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
         monkeypatch.delenv("LD_PRELOAD", raising=False)
+        # The disable switches have their own tests; clear them so this one
+        # reaches the ASan-preload check on every CI leg.
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
         _native._reset_for_tests()
         try:
             with pytest.raises(_native.NativeUnavailable, match="ASan runtime"):

@@ -17,7 +17,9 @@ Covers the contracts the rest of the repo builds on:
   per-op histograms whose ``count`` equals the client's query count;
 * the cluster: worker registries merged into :meth:`obs_snapshot`;
 * the ``python -m repro obs`` CLI on dump files and Prometheus input;
-* the ingest-profile and session forwarding paths.
+* the matrix backends' per-stage ingest timings — in process, from cluster
+  workers, and nothing at all (not even a clock read) with telemetry off;
+* the session forwarding path.
 """
 
 from __future__ import annotations
@@ -254,34 +256,121 @@ class TestPrometheusExposition:
         assert describe_snapshot(None) == "no instruments recorded"
 
 
-class TestForwardingPaths:
-    def test_ingest_profile_forwards_stage_histograms(self):
-        from repro.metrics.ingest_profile import (
-            STAGE_FAMILY,
-            IngestProfile,
-        )
+def _native_ready() -> bool:
+    from repro.core._native import native_available
 
+    return native_available()
+
+
+def _numpy_ready() -> bool:
+    from repro.hashing.vectorized import NUMPY_AVAILABLE
+
+    return NUMPY_AVAILABLE
+
+
+#: The stages each matrix backend documents for ``update_many`` on string
+#: node IDs (see the :mod:`repro.core.backends` docstring).
+_DOCUMENTED_STAGES = {
+    "python": {"hashing", "placement"},
+    "numpy": {"hashing", "placement", "buffer_spill", "memo"},
+    "native": {"hashing", "placement", "buffer_spill"},
+}
+
+every_backend = pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(not _numpy_ready(), reason="NumPy not installed"),
+        ),
+        pytest.param(
+            "native",
+            marks=pytest.mark.skipif(
+                not _native_ready(), reason="native kernel unavailable or disabled"
+            ),
+        ),
+    ],
+)
+
+
+def _stage_sketch(backend: str):
+    from repro.core.config import GSSConfig
+    from repro.core.gss import GSS
+
+    # Small enough that the second batch spills into the left-over buffer.
+    return GSS(
+        GSSConfig(matrix_width=8, fingerprint_bits=8, sequence_length=2,
+                  candidate_buckets=2, backend=backend)
+    )
+
+
+def _stage_series(snapshot) -> dict:
+    family = snapshot["families"].get(trace.STAGE_FAMILY, {"series": {}})
+    return {s["labels"]["stage"]: s for s in family["series"].values()}
+
+
+def _stage_batches():
+    return [
+        [(f"s{i % 37}", f"d{(i * 7) % 53}", 1.0) for i in range(offset, offset + 300)]
+        for offset in (0, 300)
+    ]
+
+
+class TestIngestStages:
+    @every_backend
+    def test_backend_records_its_stages(self, backend):
+        from time import perf_counter
+
+        stages = _DOCUMENTED_STAGES[backend]
+        sketch = _stage_sketch(backend)
+        assert sketch.backend_name == backend
         with trace.scoped() as registry:
-            profile = IngestProfile()
-            profile.add("hashing", 0.002)
-            profile.add("hashing", 0.003)
-            profile.add("placement", 0.004)
-            snapshot = registry.snapshot()
-        series = snapshot["families"][STAGE_FAMILY]["series"]
-        by_stage = {s["labels"]["stage"]: s for s in series.values()}
-        assert by_stage["hashing"]["count"] == 2
-        assert by_stage["placement"]["count"] == 1
-        # The legacy dict is untouched by the forwarding.
-        assert profile.stage_seconds("hashing") == pytest.approx(0.005)
+            started = perf_counter()
+            for batch in _stage_batches():
+                sketch.update_many(batch)
+            elapsed = perf_counter() - started
+            series = _stage_series(registry.snapshot())
+        assert set(series) == stages
+        # Each stage is observed exactly once per batch ...
+        assert {stage: s["count"] for stage, s in series.items()} == dict.fromkeys(
+            stages, 2
+        )
+        # ... and the stages are disjoint, so they never add up to more
+        # than the ingest took.
+        assert sum(s["sum"] for s in series.values()) <= elapsed
 
-    def test_ingest_profile_disabled_records_nothing(self):
-        from repro.metrics.ingest_profile import IngestProfile
+    @every_backend
+    def test_hashed_ingest_records_placement(self, backend):
+        from repro.streaming.batch import HashedBatch
 
+        sketch = _stage_sketch(backend)
+        batch = HashedBatch.from_items(_stage_batches()[0], sketch.hash_spec())
+        with trace.scoped() as registry:
+            sketch.update_many_hashed(batch)
+            series = _stage_series(registry.snapshot())
+        # Precomputed hash columns leave nothing to hash.
+        assert "hashing" not in series
+        assert series["placement"]["count"] == 1
+
+    @every_backend
+    def test_disabled_obs_records_nothing(self, backend, monkeypatch):
+        from repro.core import backends
+
+        def forbidden(*args):
+            raise AssertionError("ingest touched telemetry with obs off")
+
+        sketch = _stage_sketch(backend)
+        # With obs off a batch reads no clock and looks up no histogram.
+        monkeypatch.setattr(backends, "perf_counter", forbidden)
+        monkeypatch.setattr(backends, "stage_histogram", forbidden)
         with trace.scoped(off=True):
-            profile = IngestProfile()
-            profile.add("hashing", 0.002)
-        assert profile.stage_seconds("hashing") == pytest.approx(0.002)
+            for batch in _stage_batches():
+                sketch.update_many(batch)
+        assert sketch.update_count == 600
 
+
+class TestForwardingPaths:
     def test_stream_session_feed_records_spans_and_items(self):
         from repro.api import SketchSpec, StreamSession
 
@@ -336,6 +425,25 @@ class TestClusterObs:
         assert "worker.ingest" in spans
         assert "cluster.route" in spans
         assert "repro_cluster_queue_depth" in families
+
+    def test_worker_stage_mix_reaches_the_parent_view(self):
+        from repro.api import SketchSpec
+        from repro.cluster import ShardedSummary
+
+        # Telemetry off in this process: the stage family can only come
+        # from the workers' own registries.
+        with trace.scoped(off=True):
+            with ShardedSummary(
+                SketchSpec("gss", memory_bytes=65536), workers=2
+            ) as cluster:
+                cluster.enable_obs()
+                cluster.update_many(
+                    [(f"n{i}", f"m{i % 13}", 1.0) for i in range(2000)]
+                )
+                cluster.flush()
+                snapshot = cluster.obs_snapshot(refresh=True)
+        series = _stage_series(snapshot)
+        assert series["placement"]["count"] >= 1
 
     def test_obs_disabled_cluster_returns_none_and_enable_after(self):
         from repro.api import SketchSpec
